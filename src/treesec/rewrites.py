@@ -15,16 +15,17 @@ preserved by every switching/hoist rewrite, so the edge pairs recorded in a
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .builders import _extend_complete, binary_power_representation, build_power_spine
 from .errors import GuardError
 from .trees import (
     RootedTree,
+    _canon_key,
     all_ranks,
     canonical_order,
     is_isomorphic,
     saturated_vertices,
-    security,
 )
 
 __all__ = [
@@ -107,11 +108,11 @@ def _check_context(tree, ctx):
     return ranks
 
 
-def _rewire(tree, removed, added):
-    """Apply edge surgery, keeping vertex ids.  Edges are (parent, child)
-    pairs; after all removals and additions exactly one vertex must be left
-    without a parent, and it becomes the root."""
-    par = list(tree._parents)
+def _splice(par, root, removed, added):
+    """Apply edge surgery to the parent array of a tree with the given root,
+    in place.  Edges are (parent, child) pairs; after all removals and
+    additions exactly one vertex must be left without a parent, and it is
+    returned as the new root."""
     for p, c in removed:
         if par[c] != p:
             raise GuardError(f"edge ({p}, {c}) is not present")
@@ -120,10 +121,18 @@ def _rewire(tree, removed, added):
         if par[c] >= 0:
             raise GuardError(f"vertex {c} is already attached")
         par[c] = p
-    roots = [i for i, p in enumerate(par) if p < 0]
+    roots = {v for v in (root, *(c for _, c in removed)) if par[v] < 0}
     if len(roots) != 1:
         raise GuardError("rewrite must leave exactly one root")
-    par[roots[0]] = -1
+    (root,) = roots
+    par[root] = -1
+    return root
+
+
+def _rewire(tree, removed, added):
+    """Apply edge surgery, keeping vertex ids, and validate the result."""
+    par = list(tree._parents)
+    _splice(par, tree.root, removed, added)
     return RootedTree(par)
 
 
@@ -238,10 +247,10 @@ def spine_reinsert(tree, ctx):
     return _rewire(tree, *_spine_reinsert_edges(tree, ctx, ranks))
 
 
-def _hoist_edges(tree):
+def _hoist_edges(tree, sat):
     """One placement step toward the power-spine shape, or None at the fixed
-    point.  Requires pairwise distinct saturated exponents."""
-    sat = saturated_vertices(tree)
+    point.  ``sat`` lists the tree's saturated (vertex, exponent) pairs in
+    any order; their exponents must be pairwise distinct."""
     exponents = [m for _, m in sat]
     if len(set(exponents)) != len(exponents):
         raise GuardError("repeated partition exponents; normalize first")
@@ -279,7 +288,7 @@ def hoist_min_saturated(tree):
 
     Raises GuardError when the partition vector has repeated exponents.
     """
-    edges = _hoist_edges(tree)
+    edges = _hoist_edges(tree, saturated_vertices(tree))
     if edges is None:
         return tree
     return _rewire(tree, *edges)
@@ -352,6 +361,133 @@ def _select_switch(tree, x, y, ranks):
     return "spine_reinsert", ctx
 
 
+# collation is per character, so a subtree's key is built from its children's
+_LEAF_KEY, _OPEN_KEY, _CLOSE_KEY = (_canon_key(t) for t in "L()")
+
+
+class _Arena:
+    """Private mutable copy of a proper binary tree for the normalizer.
+
+    Besides the parent links and two-element child lists it keeps, per
+    vertex, the rank, the complete height (-1 unless the subtree is complete
+    binary), the canonical collation key of the subtree and two bitmasks of
+    the exponents of the saturated vertices in the subtree (``mask``: those
+    present, ``dup``: those present at least twice), plus the running
+    security.  :meth:`rewire` repairs these along the root paths of
+    the vertices whose children changed.  Like a :class:`RootedTree` it
+    exposes ``root``, ``parent`` and ``children``, so the switching and
+    hoist helpers run on it unchanged.
+    """
+
+    def __init__(self, tree):
+        n = len(tree)
+        self.root = tree.root
+        self.par = list(tree._parents)
+        self.kids = [list(k) for k in tree._child_lists()]
+        self.rank = [0] * n
+        self.h = [0] * n
+        self.key = [_LEAF_KEY] * n
+        self.mask = [1] * n
+        self.dup = [0] * n
+        for v in reversed(tree._top_down_order()):
+            self._measure(v)
+        self.security = sum(self.rank)
+
+    def parent(self, v):
+        p = self.par[v]
+        return None if p < 0 else p
+
+    def children(self, v):
+        return self.kids[v]
+
+    def _measure(self, v):
+        kids = self.kids[v]
+        if not kids:
+            self.rank[v], self.h[v], self.key[v] = 0, 0, _LEAF_KEY
+            self.mask[v], self.dup[v] = 1, 0
+            return
+        if len(kids) != 2:
+            raise GuardError("tree is not proper binary")
+        a, b = kids
+        rank, h, key = self.rank, self.h, self.key
+        rank[v] = 1 + min(rank[a], rank[b])
+        h[v] = h[a] + 1 if h[a] >= 0 and h[a] == h[b] else -1
+        ka, kb = key[a], key[b]
+        if kb < ka:
+            ka, kb = kb, ka
+        key[v] = _OPEN_KEY + ka + kb + _CLOSE_KEY
+        mask, dup = self.mask, self.dup
+        if h[v] >= 0:
+            mask[v], dup[v] = 1 << h[v], 0
+        else:
+            mask[v] = mask[a] | mask[b]
+            dup[v] = dup[a] | dup[b] | (mask[a] & mask[b])
+
+    def rewire(self, removed, added):
+        """Apply edge surgery in place, checked as by :func:`_rewire`, then
+        repair the measures along the changed root paths."""
+        par, kids = self.par, self.kids
+        self.root = _splice(par, self.root, removed, added)
+        for p, c in removed:
+            kids[p].remove(c)
+        for p, c in added:
+            kids[p].append(c)
+        # Only the subtrees of ancestors of a changed child list can change.
+        # The tree was acyclic before, so any cycle passes through a new
+        # edge and hence through one of these parents: a walk from each
+        # that does not reach the root within n vertices finds it.
+        depth = {}
+        n = len(par)
+        for v in {p for p, _ in removed} | {p for p, _ in added}:
+            path = []
+            while v >= 0 and v not in depth:
+                path.append(v)
+                if len(path) > n:
+                    raise GuardError(
+                        "parent links contain a cycle or unreachable vertices"
+                    )
+                v = par[v]
+            d = depth[v] if v >= 0 else -1
+            for u in reversed(path):
+                d += 1
+                depth[u] = d
+        rank = self.rank
+        for v in sorted(depth, key=depth.__getitem__, reverse=True):
+            before = rank[v]
+            self._measure(v)
+            self.security += rank[v] - before
+
+    def is_saturated(self, v, m):
+        """True iff v roots a maximal complete subtree with 2**m leaves."""
+        p = self.par[v]
+        return self.h[v] == m and (p < 0 or self.h[p] < 0)
+
+    def saturated(self, m=None):
+        """Yield the saturated (vertex, exponent) pairs in canonical
+        preorder, or only those with exponent m.
+
+        Walks only the vertices whose subtree is not complete and holds a
+        wanted pair.  Children go by ascending key, the higher id first
+        between equal keys, exactly as in :func:`canonical_order`.
+        """
+        h, key, kids, mask = self.h, self.key, self.kids, self.mask
+        want = -1 if m is None else 1 << m
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            if not mask[v] & want:
+                continue
+            if h[v] >= 0:
+                yield v, h[v]
+                continue
+            a, b = kids[v]
+            ka, kb = key[a], key[b]
+            if ka > kb or (ka == kb and a < b):
+                a, b = b, a
+            stack.append(b)
+            stack.append(a)
+
+
 def normalize_to_power_spine(tree):
     """Rewrite a proper binary tree into the power-spine shape.
 
@@ -360,53 +496,51 @@ def normalize_to_power_spine(tree):
     they merge into one complete subtree; phase two hoists the now-distinct
     complete subtrees into spine order.  Every step weakly increases
     security.  Returns the rewritten tree and the trace.
+
+    The rewrites run on a private mutable copy of the tree.  Each step
+    checks its surgery and repairs ranks, complete heights, canonical keys
+    and exponent bitmasks on the O(depth) vertices of the changed root paths
+    (rebuilding a key copies the keys of its two children), and each merge
+    group finds its two vertices in O(depth); the result is validated once
+    at the end.
+    Raises GuardError if a step would lower security or the steps exceed a
+    guard quadratic in the tree's order.
     """
-    current = tree
+    arena = _Arena(tree)
     steps = []
     step_guard = 8 * len(tree) * len(tree) + 64
 
     def apply(rule, removed, added):
-        nonlocal current
-        before = security(current)
-        nxt = _rewire(current, removed, added)
-        after = security(nxt)
+        before = arena.security
+        arena.rewire(removed, added)
+        after = arena.security
+        if after < before:
+            raise GuardError(f"{rule} lowered security from {before} to {after}")
         steps.append(RewriteStep(rule, tuple(removed), tuple(added), before, after))
         if len(steps) > step_guard:
-            raise RuntimeError("rewrite did not terminate within the step guard")
-        current = nxt
+            raise GuardError("rewrite did not terminate within the step guard")
 
-    while True:
-        sat = saturated_vertices(current)
-        repeated = None
-        seen_desc = sorted((m for _, m in sat), reverse=True)
-        for a, b in zip(seen_desc, seen_desc[1:]):
-            if a == b:
-                repeated = a
-                break
-        if repeated is None:
-            break
-        pos = {v: i for i, v in enumerate(canonical_order(current))}
-        group = sorted((v for v, m in sat if m == repeated), key=pos.__getitem__)
-        x, y = group[0], group[1]
+    while arena.dup[arena.root]:
+        repeated = arena.dup[arena.root].bit_length() - 1
+        (x, _), (y, _) = islice(arena.saturated(repeated), 2)
         while True:
-            ranks = all_ranks(current)
-            rule, ctx = _select_switch(current, x, y, ranks)
+            rule, ctx = _select_switch(arena, x, y, arena.rank)
             if rule == "spine_reinsert":
-                removed, added = _spine_reinsert_edges(current, ctx, ranks)
+                removed, added = _spine_reinsert_edges(arena, ctx, arena.rank)
             else:
                 removed, added = _switch_edges(ctx)
             apply(rule, removed, added)
-            merged = dict(saturated_vertices(current))
-            if merged.get(x) != repeated or merged.get(y) != repeated:
+            if not all(arena.is_saturated(v, repeated) for v in (x, y)):
                 break
 
     while True:
-        edges = _hoist_edges(current)
+        edges = _hoist_edges(arena, list(arena.saturated()))
         if edges is None:
             break
         apply("hoist_min_saturated", *edges)
 
-    return current, RewriteTrace(tuple(steps))
+    result = RootedTree(arena.par) if steps else tree
+    return result, RewriteTrace(tuple(steps))
 
 
 def flip_adjacent(tree, i, variant):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -9,6 +10,7 @@ from treesec import (
     SwitchContext,
     all_ranks,
     build_power_spine,
+    canonical_form,
     classify,
     enumerate_shapes,
     flip_adjacent,
@@ -27,6 +29,8 @@ from treesec import (
     switch_nested_high_sibling,
     switch_nested_low_sibling,
 )
+from treesec import rewrites
+from treesec.cli import main
 from treesec.rewrites import _rewire, _switch_edges
 from oracles import random_kary, random_proper_binary
 
@@ -329,6 +333,21 @@ class TestNormalize:
                 assert step.security_after >= prev
                 prev = step.security_after
 
+    def test_step_guard_raises_a_package_error(self, monkeypatch, capsys):
+        # a switch that changes nothing would loop forever
+        monkeypatch.setattr(rewrites, "_switch_edges", lambda ctx: ((), ()))
+        with pytest.raises(GuardError, match="step guard"):
+            normalize_to_power_spine(parse("(L(L(LL)))"))
+        assert main(["normalize", "--tree", "(L(L(LL)))"]) == 1
+        assert "step guard" in capsys.readouterr().err
+
+    def test_a_step_that_lowers_security_is_refused(self, monkeypatch):
+        # turn ((LL)(LL)) (security 4) into (L(L(LL))) (security 3)
+        lowering = (((0, 1), (4, 5)), ((0, 5), (4, 1)))
+        monkeypatch.setattr(rewrites, "_hoist_edges", lambda tree, sat: lowering)
+        with pytest.raises(GuardError, match="hoist_min_saturated lowered security"):
+            normalize_to_power_spine(parse("((LL)(LL))"))
+
     def test_dispatch_is_total_on_repeated_partitions(self):
         # whenever exponents repeat, the selected rule's guards must accept
         from treesec.trees import canonical_order
@@ -354,6 +373,57 @@ class TestNormalize:
                 assert security(out) >= security(t)
                 checked += 1
         assert checked > 0
+
+
+# digests of the output of the full-rebuild normalizer, which the incremental
+# engine must reproduce exactly
+SHAPES_DIGEST = "947d1eb5db34fbb9b04a2df40edf9f10ef758ea0931a2a3a7a387adb141bccfc"
+RANDOM_DIGEST = "5fc3a9a2f22544b4ee43575eab25d2e1095b1fec7f3ee16fac2a6187624837ee"
+
+
+def _normalization_digest(trees):
+    """sha256 over each tree's normalization trace and output parent array."""
+    digest = hashlib.sha256()
+    for t in trees:
+        out, trace = normalize_to_power_spine(t)
+        digest.update(f"{trace.to_text()}\n{out._parents!r}\n".encode())
+    return digest.hexdigest()
+
+
+def _seeded_random_trees(count, max_leaves, seed):
+    rng = random.Random(seed)
+    return [
+        random_proper_binary(rng.randrange(2, max_leaves + 1), rng)
+        for _ in range(count)
+    ]
+
+
+class TestNormalizePinned:
+    """Traces and output vertex ids are pinned: the normalizer may get
+    faster, but every step it records and every id it returns stay put."""
+
+    def test_all_shapes_seven_to_twelve_leaves(self):
+        shapes = [t for leaves in range(7, 13) for t in enumerate_shapes(leaves)]
+        trees = shapes + [canonical_form(t) for t in shapes]
+        assert _normalization_digest(trees) == SHAPES_DIGEST
+
+    def test_seeded_random_trees(self):
+        trees = _seeded_random_trees(20, 300, seed=0x7E5)
+        assert _normalization_digest(trees) == RANDOM_DIGEST
+
+    def test_replayed_traces_match(self):
+        # replay every step through the validated, from-scratch surgery and
+        # measures: an independent check of the running security sum and of
+        # the path repair
+        shapes = [t for leaves in range(1, 11) for t in enumerate_shapes(leaves)]
+        for tree in shapes + _seeded_random_trees(40, 200, seed=0x5EC):
+            out, trace = normalize_to_power_spine(tree)
+            replayed = tree
+            for step in trace.steps:
+                assert step.security_before == security(replayed)
+                replayed = _rewire(replayed, step.edges_removed, step.edges_added)
+                assert security(replayed) == step.security_after
+            assert replayed._parents == out._parents
 
 
 class TestFlip:
