@@ -179,10 +179,24 @@ def _cmd_normalize(args, out):
 
 
 def _cmd_verify(args, out):
+    # every argument is checked before any shape table is built
     if args.max_leaves is None and not args.kary and not args.starlike:
         raise GuardError("nothing to verify: pass --max-leaves, --kary or --starlike")
     if args.max_leaves is not None:
         _require(args.max_leaves >= 3, "--max-leaves must be at least 3")
+        if args.max_leaves > exhaustive.MAX_ENUM_LEAVES:
+            raise SizeError(
+                f"leaf count over enumeration guard ({exhaustive.MAX_ENUM_LEAVES})"
+            )
+    if args.kary:
+        n, k = args.kary
+        _require(n >= 1, "--kary order must be at least 1")
+        _require(k >= 2, "--kary arity must be at least 2")
+    if args.starlike:
+        n, k = args.starlike
+        _require(k >= 1, "--starlike degree must be at least 1")
+        _require(n > k, "--starlike order must exceed the degree")
+    if args.max_leaves is not None:
         for leaves in range(3, args.max_leaves + 1):
             census = exhaustive.brute_force_extremes(leaves)
             want = formulas.max_security(leaves)
@@ -193,7 +207,6 @@ def _cmd_verify(args, out):
         out.write(f"OK: formula = oracle for ℓ=3..{args.max_leaves}\n")
     if args.kary:
         n, k = args.kary
-        _require(k >= 2, "--kary arity must be at least 2")
         for order in range(1, n + 1):
             if (order - 1) % k != 0:
                 continue  # no proper k-ary tree of this order
@@ -207,7 +220,6 @@ def _cmd_verify(args, out):
         out.write(f"OK: k-ary root rank = oracle for n=1..{n}, k={k}\n")
     if args.starlike:
         n, k = args.starlike
-        _require(k >= 1, "--starlike degree must be at least 1")
         for order in range(k + 1, n + 1):
             got = exhaustive.brute_force_max_root_rank(order, root_degree=k)
             want = formulas.max_root_rank_starlike(order, k).value
@@ -252,8 +264,9 @@ def _run(args, out):
         if args.count_only:
             out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
         else:
+            # enumerate_shapes yields trees already in canonical form
             for tree in exhaustive.enumerate_shapes(args.leaves):
-                out.write(trees.serialize(tree, canonical=True) + "\n")
+                out.write(trees.serialize(tree) + "\n")
     elif cmd == "verify":
         _cmd_verify(args, out)
     elif cmd == "table":

@@ -7,6 +7,16 @@ pairing (proper binary) or by multiset composition of child subtrees
 (bounded-outdegree), deduplicated at generation time by construction, and
 streamed in canonical order.  Generation is sequential; the merge order is
 deterministic for fixed inputs.
+
+A proper binary shape is a plain tuple ``(key, rank, security, left,
+right)``, with ``left`` the child that comes first in canonical order; a
+leaf's children are None.  ``key`` is the shape's canonical text in the
+collation of ``trees._canon_key`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
+base-3 digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` trits, the
+longest text the guard admits.  Canonical texts are prefix-free, so integer
+order is canonical order, and a pair's key is composed without any text:
+an a-leaf text has 3a - 2 characters, so ``(AB)`` is ``OPEN + key(A) // 3
++ key(B) // 3 ** (3a - 1)`` with ``OPEN`` the digit 2 in the top trit.
 """
 
 from dataclasses import dataclass
@@ -34,38 +44,10 @@ __all__ = [
 MAX_ENUM_LEAVES = 22
 MAX_CENSUS_LEAVES = 20
 
-
-class _Shape:
-    """Proper binary shape node with composable measurements; subtrees are
-    shared structurally across the memoized per-leaf-count tables."""
-
-    __slots__ = ("left", "right", "leaves", "rank", "sec", "canon")
-
-    def __init__(self, left, right, leaves, rank, sec, canon):
-        self.left = left
-        self.right = right
-        self.leaves = leaves
-        self.rank = rank
-        self.sec = sec
-        self.canon = canon
-
-
-_BLEAF = _Shape(None, None, 1, 0, 0, "L")
-_blevels = {1: [_BLEAF]}
-
-
-def _bpair(a, b):
-    if _canon_key(b.canon) < _canon_key(a.canon):
-        a, b = b, a
-    rank = 1 + min(a.rank, b.rank)
-    return _Shape(
-        a,
-        b,
-        a.leaves + b.leaves,
-        rank,
-        a.sec + b.sec + rank,
-        "(" + a.canon + b.canon + ")",
-    )
+# The top trit of a key: ``L`` for the leaf, ``(`` for every pair.
+_LEAF_KEY = 3 ** (3 * MAX_ENUM_LEAVES - 3)
+_OPEN = 2 * _LEAF_KEY
+_blevels = {1: [(_LEAF_KEY, 0, 0, None, None)]}
 
 
 def _bshapes(leaves):
@@ -73,42 +55,50 @@ def _bshapes(leaves):
         raise GuardError("leaf count must be at least 1")
     if leaves > MAX_ENUM_LEAVES:
         raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
-    lst = _blevels.get(leaves)
-    if lst is None:
+    out = _blevels.get(leaves)
+    if out is None:
         out = []
+        append = out.append
         for a in range(1, leaves // 2 + 1):
             small = _bshapes(a)
-            if 2 * a == leaves:
-                for i in range(len(small)):
-                    for j in range(i, len(small)):
-                        out.append(_bpair(small[i], small[j]))
-            else:
-                big = _bshapes(leaves - a)
-                for x in small:
-                    for y in big:
-                        out.append(_bpair(x, y))
-        out.sort(key=lambda s: _canon_key(s.canon))
+            big = _bshapes(leaves - a)
+            shift_x, shift_y = 3 ** (3 * a - 1), 3 ** (3 * (leaves - a) - 1)
+            for i, x in enumerate(small):
+                kx, rx, sx, _, _ = x
+                head = _OPEN + kx // 3
+                for y in small[i:] if big is small else big:
+                    ky, ry, sy, _, _ = y
+                    rank = (rx if rx < ry else ry) + 1
+                    sec = sx + sy + rank
+                    if kx < ky:
+                        append((head + ky // shift_x, rank, sec, x, y))
+                    else:
+                        append((_OPEN + ky // 3 + kx // shift_y, rank, sec, y, x))
+        out.sort()
         _blevels[leaves] = out
-        lst = out
-    return lst
+    return out
 
 
 def _shape_tree(shape):
     parents = []
     stack = [(shape, -1)]
     while stack:
-        node, par = stack.pop()
+        (_, _, _, left, right), par = stack.pop()
         idx = len(parents)
         parents.append(par)
-        if node.left is not None:
-            stack.append((node.right, idx))
-            stack.append((node.left, idx))
+        if left is not None:
+            stack.append((right, idx))
+            stack.append((left, idx))
     return RootedTree._make(parents, topo=True)
 
 
 def enumerate_shapes(leaves):
     """Yield every non-isomorphic proper binary tree with the given number
-    of leaves exactly once, in canonical (serialization) order."""
+    of leaves exactly once, in canonical (serialization) order.
+
+    Each tree is already in canonical form: its ids are in canonical
+    preorder and its children are stored in canonical order, so
+    ``serialize(t)`` equals ``serialize(t, canonical=True)``."""
     for shape in _bshapes(leaves):
         yield _shape_tree(shape)
 
@@ -135,12 +125,12 @@ def brute_force_extremes(leaves):
     best = -1
     count = 0
     total = 0
-    for shape in _bshapes(leaves):
+    for _, _, sec, _, _ in _bshapes(leaves):
         total += 1
-        if shape.sec > best:
-            best = shape.sec
+        if sec > best:
+            best = sec
             count = 1
-        elif shape.sec == best:
+        elif sec == best:
             count += 1
     return ShapeCensus(
         leaf_count=leaves,
@@ -154,9 +144,9 @@ def brute_force_extremes(leaves):
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
     order (streamed; nothing is materialized beyond the shape table)."""
-    best = max(s.sec for s in _bshapes(leaves))
+    best = max(s[2] for s in _bshapes(leaves))
     for shape in _bshapes(leaves):
-        if shape.sec == best:
+        if shape[2] == best:
             yield _shape_tree(shape)
 
 

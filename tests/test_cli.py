@@ -1,7 +1,11 @@
+import hashlib
 import io
 import json
 import re
 
+import pytest
+
+from treesec import exhaustive
 from treesec import export_dot, is_isomorphic, max_security, parse, read_tree, security
 from treesec.cli import main
 
@@ -298,3 +302,43 @@ class TestExitCodes:
     def test_table_over_guard_is_two(self, capsys):
         code, _, _ = run(capsys, "table", "--max-leaves", "21")
         assert code == 2
+
+    def test_verify_over_guard_refuses_before_any_work(self, capsys, monkeypatch):
+        def fail(leaves):
+            raise AssertionError(f"census at {leaves} leaves ran before the guard")
+
+        monkeypatch.setattr(exhaustive, "brute_force_extremes", fail)
+        limit = exhaustive.MAX_ENUM_LEAVES
+        code, out, err = run(capsys, "verify", "--max-leaves", str(limit + 1))
+        assert code == 2 and "size guard" in err and out == ""
+
+    def test_verify_empty_kary_range_is_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--kary", "0", "3")
+        assert code == 1 and "error" in err and out == ""
+
+    def test_verify_empty_starlike_range_is_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--starlike", "3", "5")
+        assert code == 1 and "error" in err and out == ""
+
+
+class TestPinnedOutputs:
+    """sha256 of the census commands' stdout, pinned so that a change to
+    the shape tables cannot alter a byte of what they print."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["table", "--max-leaves", "20"],
+                "0865136ceed82ffcb2d2623627adfe499f0182d011b9aaa4e3aad99c90f17d3a",
+            ),
+            (
+                ["enumerate", "--leaves", "17"],
+                "2949dfbdc9bce5f305f953a832c23fc56e1d07c981f321eced89f672d0cc3868",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from treesec import (
     brute_force_max_root_rank,
     build_almost_complete,
     build_power_spine,
+    canonical_form,
     census_json,
     census_table,
     census_tsv,
@@ -36,12 +36,15 @@ class TestShapeEnumeration:
         assert sum(1 for _ in enumerate_shapes(leaves)) == count
 
     def test_shapes_are_distinct_proper_binary_and_sorted(self):
-        for leaves in range(1, 11):
+        for leaves in range(1, 15):
             canons = []
             for t in enumerate_shapes(leaves):
                 r = classify(t)
                 assert r.is_proper_binary and r.leaf_count == leaves
                 canons.append(serialize(t, canonical=True))
+                # yielded already in canonical form
+                assert serialize(t) == canons[-1]
+                assert canonical_form(t)._parents == t._parents
             assert len(set(canons)) == len(canons)
             assert canons == sorted(canons, key=lambda s: s.translate(
                 str.maketrans(")L(", "012")))
@@ -50,11 +53,6 @@ class TestShapeEnumeration:
         with pytest.raises(SizeError):
             count_shapes(23)
 
-    @pytest.mark.skipif(
-        not os.environ.get("TREESEC_ENUM_FULL"),
-        reason="full-guard enumeration takes ~1 min and ~0.5 GB; "
-        "set TREESEC_ENUM_FULL=1 to run",
-    )
     def test_counts_up_to_the_guard(self):
         for leaves in (21, 22):
             assert count_shapes(leaves) == wedderburn_etherington(leaves)
