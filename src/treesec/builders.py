@@ -65,23 +65,26 @@ def build_complete_binary(height):
     return RootedTree._make(parents, topo=True)
 
 
-def _spine_parents(exponents):
-    """Parent array of the spine-of-complete-subtrees tree for strictly
-    decreasing ``exponents``: a path hangs from the root, each path vertex
-    carrying a complete block, ordered smallest block nearest the root, and
-    the path ends in the largest block."""
-    k = len(exponents)
+def _spine_parents(blocks):
+    """Parent array of a spine-of-complete-subtrees tree: a path hangs from
+    the root, each path vertex carrying one block, the last block nearest
+    the root, and the path ends in the first block.  A block is the height
+    of a complete subtree, or a pair of heights for a vertex carrying two
+    complete subtrees."""
     parents = []
-    if k == 1:
-        _extend_complete(parents, -1, exponents[0])
-        return parents
     prev = -1
-    for j in range(k, 1, -1):
-        vid = len(parents)
-        parents.append(prev)
-        _extend_complete(parents, vid, exponents[j - 1])
-        prev = vid
-    _extend_complete(parents, prev, exponents[0])
+    for j in range(len(blocks) - 1, -1, -1):
+        if j:
+            parents.append(prev)
+            prev = len(parents) - 1
+        block = blocks[j]
+        if isinstance(block, tuple):
+            pair = len(parents)
+            parents.append(prev)
+            for height in block:
+                _extend_complete(parents, pair, height)
+        else:
+            _extend_complete(parents, prev, block)
     return parents
 
 

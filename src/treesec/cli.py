@@ -192,10 +192,13 @@ def _cmd_verify(args, out):
         n, k = args.kary
         _require(n >= 1, "--kary order must be at least 1")
         _require(k >= 2, "--kary arity must be at least 2")
+        # the largest order of a proper k-ary tree up to n
+        exhaustive._kary_guard(n - (n - 1) % k, k)
     if args.starlike:
         n, k = args.starlike
         _require(k >= 1, "--starlike degree must be at least 1")
         _require(n > k, "--starlike order must exceed the degree")
+        exhaustive._kary_guard(n, None)
     if args.max_leaves is not None:
         for leaves in range(3, args.max_leaves + 1):
             census = exhaustive.brute_force_extremes(leaves)

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 
-from .builders import _extend_complete, binary_power_representation, build_power_spine
+from .builders import _spine_parents, binary_power_representation, build_power_spine
 from .errors import GuardError
 from .trees import (
     RootedTree,
@@ -146,57 +146,52 @@ def _switch_edges(ctx):
     return removed, added
 
 
-def switch_disjoint(tree, ctx):
-    """Exchange the subtrees at u and at w's sibling when neither parent is
-    an ancestor of the other.
-
-    Guards: context consistent (saturated, equal rank); u0/w0 not nested;
-    rank(w1) >= rank(u1).  Security never decreases.
-    """
-    ranks = _check_context(tree, ctx)
-    if _is_strict_ancestor(tree, ctx.u0, ctx.w0) or _is_strict_ancestor(
-        tree, ctx.w0, ctx.u0
-    ):
-        raise GuardError("parents must not be nested; use a nested switch")
-    if ranks[ctx.w1] < ranks[ctx.u1]:
-        raise GuardError("rank(w1) >= rank(u1) required; swap the pair's roles")
-    return _rewire(tree, *_switch_edges(ctx))
+# the switching rules, in the order normalization tries them
+_RULES = (
+    "switch_disjoint",
+    "switch_nested_high_sibling",
+    "switch_nested_low_sibling",
+    "spine_reinsert",
+)
 
 
-def switch_nested_high_sibling(tree, ctx):
-    """Exchange the subtrees at u and at w's sibling when u0 is an ancestor
-    of w0 and w's sibling outranks the switched vertices.
-
-    Guards: u0 strict ancestor of w0; rank(w1) >= rank(u) = rank(w).
-    Security never decreases and the rank of w0 is unchanged.
-    """
-    ranks = _check_context(tree, ctx)
-    if not _is_strict_ancestor(tree, ctx.u0, ctx.w0):
-        raise GuardError("u0 must be a strict ancestor of w0")
-    if ranks[ctx.w1] < ranks[ctx.u]:
-        raise GuardError("rank(w1) >= rank(u) required; use the low-sibling switch")
-    return _rewire(tree, *_switch_edges(ctx))
+def _nesting(tree, ctx):
+    """1 if u0 is a strict ancestor of w0, -1 for the reverse, else 0."""
+    if _is_strict_ancestor(tree, ctx.u0, ctx.w0):
+        return 1
+    return -1 if _is_strict_ancestor(tree, ctx.w0, ctx.u0) else 0
 
 
-def switch_nested_low_sibling(tree, ctx):
-    """Exchange the subtrees at u and at w's sibling when u0 is an ancestor
-    of w0 and w's sibling is outranked by the switched vertices.
-
-    Guards: u0 strict ancestor of w0; rank(w1) <= rank(u) - 1; and either u0
-    is the root or its parent v1 satisfies rank(v1) <= 2 + rank(w1).
-    Security never decreases.
-    """
-    ranks = _check_context(tree, ctx)
-    if not _is_strict_ancestor(tree, ctx.u0, ctx.w0):
-        raise GuardError("u0 must be a strict ancestor of w0")
-    if ranks[ctx.w1] > ranks[ctx.u] - 1:
-        raise GuardError("rank(w1) <= rank(u) - 1 required; use the high-sibling switch")
+def _refusal(rule, tree, ctx, ranks, nesting):
+    """Why the guard of switching ``rule`` refuses an already checked
+    context, or None if it accepts; ``nesting`` is :func:`_nesting`."""
+    r_w1 = ranks[ctx.w1]
+    if rule == "switch_disjoint":
+        if nesting:
+            return "parents must not be nested; use a nested switch"
+        if r_w1 < ranks[ctx.u1]:
+            return "rank(w1) >= rank(u1) required; swap the pair's roles"
+        return None
+    if nesting != 1:
+        return "u0 must be a strict ancestor of w0"
+    if rule == "switch_nested_high_sibling":
+        if r_w1 < ranks[ctx.u]:
+            return "rank(w1) >= rank(u) required; use the low-sibling switch"
+        return None
+    if r_w1 >= ranks[ctx.u]:
+        if rule == "spine_reinsert":
+            return "rank(w1) < rank(u) required"
+        return "rank(w1) <= rank(u) - 1 required; use the high-sibling switch"
     v1 = tree.parent(ctx.u0)
-    if v1 is not None and ranks[v1] > 2 + ranks[ctx.w1]:
-        raise GuardError(
-            "rank of u0's parent exceeds 2 + rank(w1); use spine_reinsert"
-        )
-    return _rewire(tree, *_switch_edges(ctx))
+    if rule == "switch_nested_low_sibling":
+        if v1 is not None and ranks[v1] > 2 + r_w1:
+            return "rank of u0's parent exceeds 2 + rank(w1); use spine_reinsert"
+        return None
+    if v1 is None:
+        return "u0 must not be the root; use a nested switch"
+    if ranks[v1] <= r_w1:
+        return "u0's parent must outrank w1; use a nested switch"
+    return None
 
 
 def _spine_reinsert_edges(tree, ctx, ranks):
@@ -224,27 +219,62 @@ def _spine_reinsert_edges(tree, ctx, ranks):
     return removed, added
 
 
+def _rule_edges(rule, tree, ctx, ranks):
+    """Edge surgery of a switching rule whose guard accepts the context."""
+    if rule == "spine_reinsert":
+        return _spine_reinsert_edges(tree, ctx, ranks)
+    return _switch_edges(ctx)
+
+
+def _apply_rule(rule, tree, ctx):
+    """Check the context and the rule's guard, then apply its surgery."""
+    ranks = _check_context(tree, ctx)
+    refusal = _refusal(rule, tree, ctx, ranks, _nesting(tree, ctx))
+    if refusal is not None:
+        raise GuardError(refusal)
+    return _rewire(tree, *_rule_edges(rule, tree, ctx, ranks))
+
+
+def switch_disjoint(tree, ctx):
+    """Exchange the subtrees at u and at w's sibling when neither parent is
+    an ancestor of the other.
+
+    Guards: context consistent (saturated, equal rank); u0/w0 not nested;
+    rank(w1) >= rank(u1).  Security never decreases.
+    """
+    return _apply_rule("switch_disjoint", tree, ctx)
+
+
+def switch_nested_high_sibling(tree, ctx):
+    """Exchange the subtrees at u and at w's sibling when u0 is an ancestor
+    of w0 and w's sibling outranks the switched vertices.
+
+    Guards: u0 strict ancestor of w0; rank(w1) >= rank(u) = rank(w).
+    Security never decreases and the rank of w0 is unchanged.
+    """
+    return _apply_rule("switch_nested_high_sibling", tree, ctx)
+
+
+def switch_nested_low_sibling(tree, ctx):
+    """Exchange the subtrees at u and at w's sibling when u0 is an ancestor
+    of w0 and w's sibling is outranked by the switched vertices.
+
+    Guards: u0 strict ancestor of w0; rank(w1) <= rank(u) - 1; and either u0
+    is the root or its parent v1 satisfies rank(v1) <= 2 + rank(w1).
+    Security never decreases.
+    """
+    return _apply_rule("switch_nested_low_sibling", tree, ctx)
+
+
 def spine_reinsert(tree, ctx):
     """Move w's parent (keeping w's sibling) up onto the root path, and let
     w take its old place.
 
     Guards: u0 strict ancestor of w0; rank(w1) < rank(u) = rank(w); u0 is
-    not the root; u0's parent outranks w1; w0 has a parent.  Security never
-    decreases, and the ranks of w, w1 and w0 are unchanged.
+    not the root; u0's parent outranks w1.  Security never decreases, and
+    the ranks of w, w1 and w0 are unchanged.
     """
-    ranks = _check_context(tree, ctx)
-    if not _is_strict_ancestor(tree, ctx.u0, ctx.w0):
-        raise GuardError("u0 must be a strict ancestor of w0")
-    if ranks[ctx.w1] >= ranks[ctx.u]:
-        raise GuardError("rank(w1) < rank(u) required")
-    v1 = tree.parent(ctx.u0)
-    if v1 is None:
-        raise GuardError("u0 must not be the root; use a nested switch")
-    if ranks[v1] <= ranks[ctx.w1]:
-        raise GuardError("u0's parent must outrank w1; use a nested switch")
-    if tree.parent(ctx.w0) is None:
-        raise GuardError("w0 must have a parent")
-    return _rewire(tree, *_spine_reinsert_edges(tree, ctx, ranks))
+    return _apply_rule("spine_reinsert", tree, ctx)
 
 
 def _hoist_edges(tree, sat):
@@ -340,25 +370,16 @@ class RewriteTrace:
 
 
 def _select_switch(tree, x, y, ranks):
-    """Orient the pair and pick the applicable switching rule, in the order:
-    disjoint parents; nested with high sibling; nested with low sibling and
-    admissible root path; spine reinsertion otherwise."""
-    x0 = tree.parent(x)
-    y0 = tree.parent(y)
-    if _is_strict_ancestor(tree, y0, x0):
-        x, y = y, x
-        x0, y0 = y0, x0
+    """The first (rule, context) whose guard accepts the saturated pair:
+    oriented (x, y) before (y, x), the rules in :data:`_RULES` order."""
     ctx = SwitchContext.for_pair(tree, x, y)
-    if x0 == y0 or not _is_strict_ancestor(tree, x0, y0):
-        if ranks[ctx.u1] > ranks[ctx.w1]:
-            ctx = SwitchContext.for_pair(tree, y, x)
-        return "switch_disjoint", ctx
-    if ranks[ctx.w1] >= ranks[ctx.u]:
-        return "switch_nested_high_sibling", ctx
-    v1 = tree.parent(ctx.u0)
-    if v1 is None or ranks[v1] <= 2 + ranks[ctx.w1]:
-        return "switch_nested_low_sibling", ctx
-    return "spine_reinsert", ctx
+    nesting = _nesting(tree, ctx)
+    for _ in range(2):
+        for rule in _RULES:
+            if _refusal(rule, tree, ctx, ranks, nesting) is None:
+                return rule, ctx
+        ctx, nesting = SwitchContext.for_pair(tree, y, x), -nesting
+    raise GuardError(f"no switching rule accepts vertices {x} and {y}")
 
 
 # collation is per character, so a subtree's key is built from its children's
@@ -493,9 +514,11 @@ def normalize_to_power_spine(tree):
 
     Phase one repeatedly picks the largest repeated partition exponent and
     switches its first two saturated vertices (in canonical preorder) until
-    they merge into one complete subtree; phase two hoists the now-distinct
-    complete subtrees into spine order.  Every step weakly increases
-    security.  Returns the rewritten tree and the trace.
+    they merge into one complete subtree, each step by the first switching
+    rule whose guard (the one its public rewrite runs) accepts the pair;
+    phase two hoists the now-distinct complete subtrees into spine order.
+    Every step weakly increases security.  Returns the rewritten tree and
+    the trace.
 
     The rewrites run on a private mutable copy of the tree.  Each step
     checks its surgery and repairs ranks, complete heights, canonical keys
@@ -503,8 +526,9 @@ def normalize_to_power_spine(tree):
     (rebuilding a key copies the keys of its two children), and each merge
     group finds its two vertices in O(depth); the result is validated once
     at the end.
-    Raises GuardError if a step would lower security or the steps exceed a
-    guard quadratic in the tree's order.
+    Raises GuardError if no switching rule accepts a pair, a step would
+    lower security or the steps exceed a guard quadratic in the tree's
+    order.
     """
     arena = _Arena(tree)
     steps = []
@@ -525,11 +549,7 @@ def normalize_to_power_spine(tree):
         (x, _), (y, _) = islice(arena.saturated(repeated), 2)
         while True:
             rule, ctx = _select_switch(arena, x, y, arena.rank)
-            if rule == "spine_reinsert":
-                removed, added = _spine_reinsert_edges(arena, ctx, arena.rank)
-            else:
-                removed, added = _switch_edges(ctx)
-            apply(rule, removed, added)
+            apply(rule, *_rule_edges(rule, arena, ctx, arena.rank))
             if not all(arena.is_saturated(v, repeated) for v in (x, y)):
                 break
 
@@ -565,40 +585,12 @@ def flip_adjacent(tree, i, variant):
     if not is_isomorphic(tree, build_power_spine(leaves)):
         raise GuardError("tree must be the power-spine construction")
 
-    parents = []
-    prev = -1
+    blocks = list(rep)
     if variant == 1:
-        exps = list(rep)
-        exps[i - 1], exps[i] = exps[i], exps[i - 1]
-        for j in range(k, 1, -1):
-            vid = len(parents)
-            parents.append(prev)
-            _extend_complete(parents, vid, exps[j - 1])
-            prev = vid
-        _extend_complete(parents, prev, exps[0])
+        blocks[i - 1], blocks[i] = rep[i], rep[i - 1]
     else:
-        for j in range(k, i + 1, -1):
-            vid = len(parents)
-            parents.append(prev)
-            _extend_complete(parents, vid, rep[j - 1])
-            prev = vid
-        fork = len(parents)
-        parents.append(prev)
-        paired = len(parents)
-        parents.append(fork)
-        _extend_complete(parents, paired, rep[i - 1])
-        _extend_complete(parents, paired, rep[i])
-        if i == 2:
-            _extend_complete(parents, fork, rep[0])
-        else:
-            prev = fork
-            for j in range(i - 1, 1, -1):
-                vid = len(parents)
-                parents.append(prev)
-                _extend_complete(parents, vid, rep[j - 1])
-                prev = vid
-            _extend_complete(parents, prev, rep[0])
-    return RootedTree._make(parents, topo=True)
+        blocks[i - 1 : i + 1] = [(rep[i - 1], rep[i])]
+    return RootedTree._make(_spine_parents(blocks), topo=True)
 
 
 def _deepest_canonical_leaf(tree, v):

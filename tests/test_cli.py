@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +316,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--max-leaves", str(limit + 1))
         assert code == 2 and "size guard" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-leaves", "8", "--kary", "13", "3"],
+            ["--kary", "12", "3", "--starlike", "12", "3"],
+        ],
+    )
+    def test_verify_root_rank_over_guard_refuses_before_any_work(
+        self, capsys, monkeypatch, argv
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the order guard")
+
+        monkeypatch.setattr(exhaustive, "brute_force_extremes", fail)
+        monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and "size guard" in err and out == ""
+
     def test_verify_empty_kary_range_is_one(self, capsys):
         code, out, err = run(capsys, "verify", "--kary", "0", "3")
         assert code == 1 and "error" in err and out == ""
@@ -342,3 +364,22 @@ class TestPinnedOutputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_package_imports_only_the_standard_library():
+    # a fresh interpreter, so that modules the tests import hide nothing
+    probe = (
+        "import sys; before = set(sys.modules); import treesec, treesec.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    imported = set(result.stdout.split())
+    assert "treesec" in imported
+    assert imported - {"treesec"} <= sys.stdlib_module_names

@@ -92,6 +92,34 @@ class TestSwitchContext:
             switch_disjoint(t, ctx)
 
 
+# sha256 over the verdict of every public switching rewrite on every
+# equal-rank saturated pair of every shape with 2..12 leaves
+GUARD_DIGEST = "13766d2facf5c9373a92e3b849aa4921b2b341b79eaa90b96159824a30f38fc5"
+
+
+class TestGuardsPinned:
+    """Which contexts each public rewrite accepts, its output ids and its
+    refusal messages are pinned, so the guards cannot move at a boundary."""
+
+    def test_verdicts_up_to_twelve_leaves(self):
+        digest = hashlib.sha256()
+        verdicts = 0
+        for leaves in range(2, 13):
+            for t in enumerate_shapes(leaves):
+                for u, w in equal_rank_saturated_pairs(t):
+                    ctx = SwitchContext.for_pair(t, u, w)
+                    for op in SWITCH_OPS:
+                        try:
+                            verdict = repr(op(t, ctx)._parents)
+                        except GuardError as e:
+                            verdict = str(e)
+                        verdicts += 1
+                        line = f"{leaves} {u} {w} {op.__name__} {verdict}\n"
+                        digest.update(line.encode())
+        assert verdicts == 67824
+        assert digest.hexdigest() == GUARD_DIGEST
+
+
 class TestSwitchDisjoint:
     def test_worked_example(self):
         t = parse("((L(LL))(L(LL)))")
@@ -341,6 +369,15 @@ class TestNormalize:
         assert main(["normalize", "--tree", "(L(L(LL)))"]) == 1
         assert "step guard" in capsys.readouterr().err
 
+    def test_a_step_the_rule_guard_refuses_is_not_taken(self, monkeypatch, capsys):
+        # normalize takes a switch only after that rule's own guard accepts
+        monkeypatch.setattr(rewrites, "_refusal", lambda *args: "refused")
+        with pytest.raises(GuardError, match="no switching rule accepts"):
+            normalize_to_power_spine(parse("(L(L(LL)))"))
+        assert main(["normalize", "--tree", "(L(L(LL)))"]) == 1
+        captured = capsys.readouterr()
+        assert "no switching rule accepts" in captured.err and captured.out == ""
+
     def test_a_step_that_lowers_security_is_refused(self, monkeypatch):
         # turn ((LL)(LL)) (security 4) into (L(L(LL))) (security 3)
         lowering = (((0, 1), (4, 5)), ((0, 5), (4, 1)))
@@ -426,7 +463,28 @@ class TestNormalizePinned:
             assert replayed._parents == out._parents
 
 
+# sha256 over every accepted flip of the power spines on 1..299 leaves
+FLIP_DIGEST = "22a655fb32ce6cf1fc467cad6b379fdb0fadef69ed2438443e21c4bf2abb729a"
+
+
 class TestFlip:
+    def test_output_ids_are_pinned(self):
+        digest = hashlib.sha256()
+        flips = 0
+        for leaves in range(1, 300):
+            spine = build_power_spine(leaves)
+            for i in range(2, leaves.bit_count()):
+                for variant in (1, 2):
+                    try:
+                        out = flip_adjacent(spine, i, variant)
+                    except GuardError:
+                        continue
+                    flips += 1
+                    line = f"{leaves} {i} {variant} {out._parents!r}\n"
+                    digest.update(line.encode())
+        assert flips == 716
+        assert digest.hexdigest() == FLIP_DIGEST
+
     def test_variant_one_preserves_security(self):
         t = build_power_spine(11)
         out = flip_adjacent(t, 2, 1)
