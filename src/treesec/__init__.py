@@ -11,7 +11,6 @@ from .builders import (
     build_power_spine,
     build_starlike,
 )
-from .cli import export_dot, main
 from .errors import GuardError, ParseError, SizeError, TreesecError
 from .exhaustive import (
     RootRankExtremes,
@@ -58,6 +57,7 @@ from .trees import (
     canonical_form,
     canonical_order,
     classify,
+    export_dot,
     is_isomorphic,
     parse,
     partition_vector,

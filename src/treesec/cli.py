@@ -11,31 +11,7 @@ import sys
 from . import builders, exhaustive, formulas, rewrites, trees
 from .errors import GuardError, ParseError, SizeError
 
-__all__ = ["main", "export_dot"]
-
-
-def export_dot(tree, annotate="none"):
-    """Render a tree as a DOT digraph.
-
-    Vertex names are canonical preorder indices; edges run parent -> child.
-    With ``annotate="ranks"`` each vertex is labelled with its rank.
-    """
-    if annotate not in ("none", "ranks"):
-        raise GuardError(f"unknown annotation {annotate!r}")
-    canon = trees.canonical_form(tree)
-    lines = ["digraph tree {"]
-    if annotate == "ranks":
-        ranks = trees.all_ranks(canon)
-        for v in range(len(canon)):
-            lines.append(f'  {v} [label="{ranks[v]}"];')
-    else:
-        for v in range(len(canon)):
-            lines.append(f"  {v};")
-    for v in range(len(canon)):
-        for c in canon.children(v):
-            lines.append(f"  {v} -> {c};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,11 +213,15 @@ def _cmd_verify(args, out):
 def _cmd_export(args, out):
     tree = _read_tree_arg(args)
     if args.format == "dot":
-        out.write(export_dot(tree, annotate="ranks" if args.ranks else "none"))
+        out.write(trees.export_dot(tree, annotate="ranks" if args.ranks else "none"))
     else:
         import json
 
-        out.write(json.dumps(trees.tree_to_json(trees.canonical_form(tree))) + "\n")
+        try:
+            text = json.dumps(trees.tree_to_json(trees.canonical_form(tree)))
+        except RecursionError:
+            raise SizeError("JSON nesting over the recursion limit") from None
+        out.write(text + "\n")
 
 
 def _run(args, out):

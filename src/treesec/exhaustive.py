@@ -17,11 +17,17 @@ longest text the guard admits.  Canonical texts are prefix-free, so integer
 order is canonical order, and a pair's key is composed without any text:
 an a-leaf text has 3a - 2 characters, so ``(AB)`` is ``OPEN + key(A) // 3
 + key(B) // 3 ** (3a - 1)`` with ``OPEN`` the digit 2 in the top trit.
+
+A bounded-outdegree shape is a plain tuple ``(canon, root_rank, max_rank,
+proper, *kids)``: ``canon`` is the canonical text already in that collation
+(as a string), ``proper`` says every outdegree is 0 or exactly the arity
+bound, and the kids follow in canonical order.  ``canon`` is unique within a
+table, so tuple order is canonical order and no sort needs a key.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .errors import GuardError, SizeError
 from .trees import RootedTree, _canon_key
@@ -188,26 +194,8 @@ def census_json(rows):
     )
 
 
-class _KShape:
-    """Bounded-outdegree shape node with composable measurements; subtrees
-    are shared structurally across the memoized tables.
-
-    ``proper`` records whether every outdegree is 0 or exactly the arity
-    bound the shape was generated under.
-    """
-
-    __slots__ = ("kids", "order", "root_rank", "max_rank", "proper", "canon")
-
-    def __init__(self, kids, order, root_rank, max_rank, proper, canon):
-        self.kids = kids
-        self.order = order
-        self.root_rank = root_rank
-        self.max_rank = max_rank
-        self.proper = proper
-        self.canon = canon
-
-
-_KLEAF = _KShape((), 1, 0, 0, True, "L")
+_KLEAF = (_canon_key("L"), 0, 0, True)
+_KOPEN, _KCLOSE = _canon_key("("), _canon_key(")")
 _klevels = {}
 
 
@@ -216,79 +204,50 @@ def _kary_guard(n, k):
         raise GuardError("order must be at least 1")
     if k is not None and k < 1:
         raise GuardError("arity must be at least 1")
-    if k == 1:
-        limit = 64
-    elif k == 2:
-        limit = 14
-    elif k == 3:
-        limit = 12
-    else:
-        limit = 11
+    limit = {1: 64, 2: 14, 3: 12}.get(k, 11)
     if n > limit:
         raise SizeError(f"order over enumeration guard ({limit} for this arity)")
 
 
-def _partitions_desc(total, max_parts):
-    """Weakly decreasing partitions of ``total`` into at most ``max_parts``
-    positive parts (max_parts None = unbounded)."""
-    if max_parts is None:
-        max_parts = total
-
-    def rec(remaining, parts_left, cap):
-        if remaining == 0:
-            yield ()
-            return
-        if parts_left == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, max_parts, total)
+def _kid_multisets(total, cap, parts, k):
+    """Multisets of at most ``parts`` child shapes, none of order above
+    ``cap``, whose orders sum to ``total``; each is a tuple of shapes."""
+    if total == 0:
+        yield ()
+        return
+    for size in range(min(cap, total), 0, -1):
+        if size * parts < total:
+            break  # the parts left cannot hold the rest
+        pool = _kshapes(size, k)
+        for copies in range(1, total // size + 1):
+            left = total - size * copies
+            rests = list(_kid_multisets(left, size - 1, parts - copies, k))
+            for picks in combinations_with_replacement(pool, copies):
+                for rest in rests:
+                    yield picks + rest
 
 
 def _kshapes(n, k):
-    key = (n, k)
-    lst = _klevels.get(key)
+    lst = _klevels.get((n, k))
     if lst is None:
         if n == 1:
             lst = [_KLEAF]
         else:
-            out = []
-            for partition in _partitions_desc(n - 1, k):
-                groups = []
-                run_val = None
-                run = 0
-                for part in partition:
-                    if part == run_val:
-                        run += 1
-                    else:
-                        if run_val is not None:
-                            groups.append((run_val, run))
-                        run_val = part
-                        run = 1
-                groups.append((run_val, run))
-                pools = [
-                    combinations_with_replacement(_kshapes(size, k), copies)
-                    for size, copies in groups
-                ]
-                for picks in product(*pools):
-                    kids = [s for group in picks for s in group]
-                    kids.sort(key=lambda s: _canon_key(s.canon))
-                    root_rank = 1 + min(s.root_rank for s in kids)
-                    out.append(
-                        _KShape(
-                            tuple(kids),
-                            n,
-                            root_rank,
-                            max(root_rank, max(s.max_rank for s in kids)),
-                            len(kids) == k and all(s.proper for s in kids),
-                            "(" + "".join(s.canon for s in kids) + ")",
-                        )
+            lst = []
+            for kids in _kid_multisets(n - 1, n - 1, k or n - 1, k):
+                kids = sorted(kids)
+                root_rank = 1 + min(s[1] for s in kids)
+                lst.append(
+                    (
+                        _KOPEN + "".join(s[0] for s in kids) + _KCLOSE,
+                        root_rank,
+                        max(root_rank, *(s[2] for s in kids)),
+                        len(kids) == k and all(s[3] for s in kids),
+                        *kids,
                     )
-            out.sort(key=lambda s: _canon_key(s.canon))
-            lst = out
-        _klevels[key] = lst
+                )
+            lst.sort()
+        _klevels[(n, k)] = lst
     return lst
 
 
@@ -299,9 +258,23 @@ def _kshape_tree(shape):
         node, par = stack.pop()
         idx = len(parents)
         parents.append(par)
-        for kid in reversed(node.kids):
+        for kid in reversed(node[4:]):
             stack.append((kid, idx))
     return RootedTree._make(parents, topo=True)
+
+
+def _kary_class(n, k, root_degree, proper):
+    """The shapes of order ``n`` with outdegrees at most ``k``, in canonical
+    order, kept to a root outdegree of ``root_degree`` (None = any) and, with
+    ``proper``, to outdegrees 0 or exactly k."""
+    _kary_guard(n, k)
+    if proper and k is None:
+        raise GuardError("proper enumeration needs an arity bound")
+    for shape in _kshapes(n, k):
+        if (root_degree is None or len(shape) - 4 == root_degree) and (
+            shape[3] or not proper
+        ):
+            yield shape
 
 
 def enumerate_kary_trees(n, k=None, proper=False):
@@ -311,12 +284,7 @@ def enumerate_kary_trees(n, k=None, proper=False):
     With ``proper=True`` (requires k), only trees whose outdegrees are all 0
     or exactly k are yielded; for some orders this class is empty.
     """
-    _kary_guard(n, k)
-    if proper and k is None:
-        raise GuardError("proper enumeration needs an arity bound")
-    for shape in _kshapes(n, k):
-        if proper and not shape.proper:
-            continue
+    for shape in _kary_class(n, k, None, proper):
         yield _kshape_tree(shape)
 
 
@@ -336,24 +304,11 @@ def brute_force_max_root_rank(n, k=None, root_degree=None, proper=False):
     count, and with ``proper=True`` only outdegrees 0 and exactly k occur
     (the class the k-ary root-rank formula is exact for).  For the classes
     without a root-degree restriction the two maxima agree."""
-    _kary_guard(n, k)
-    if proper and k is None:
-        raise GuardError("proper enumeration needs an arity bound")
-    best_root = -1
-    best_any = -1
-    scanned = 0
-    for shape in _kshapes(n, k):
-        if root_degree is not None and len(shape.kids) != root_degree:
-            continue
-        if proper and not shape.proper:
-            continue
-        scanned += 1
-        if shape.root_rank > best_root:
-            best_root = shape.root_rank
-        if shape.max_rank > best_any:
-            best_any = shape.max_rank
-    if scanned == 0:
+    shapes = list(_kary_class(n, k, root_degree, proper))
+    if not shapes:
         raise GuardError("no trees of this order in the requested class")
     return RootRankExtremes(
-        max_root_rank=best_root, max_vertex_rank=best_any, trees_scanned=scanned
+        max_root_rank=max(s[1] for s in shapes),
+        max_vertex_rank=max(s[2] for s in shapes),
+        trees_scanned=len(shapes),
     )

@@ -23,7 +23,7 @@ ignored; any other stray character is a parse error.  A JSON form
 import json
 from dataclasses import dataclass
 
-from .errors import GuardError, ParseError
+from .errors import GuardError, ParseError, SizeError
 
 __all__ = [
     "RootedTree",
@@ -33,6 +33,7 @@ __all__ = [
     "read_tree",
     "tree_from_json",
     "tree_to_json",
+    "export_dot",
     "all_ranks",
     "security",
     "protected_count",
@@ -255,6 +256,8 @@ def read_tree(text):
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+        except RecursionError:
+            raise SizeError("JSON nesting over the recursion limit") from None
         return tree_from_json(obj)
     return parse(text)
 
@@ -286,6 +289,30 @@ def tree_to_json(tree):
     return nodes[tree.root]
 
 
+def export_dot(tree, annotate="none"):
+    """Render a tree as a DOT digraph.
+
+    Vertex names are canonical preorder indices; edges run parent -> child.
+    With ``annotate="ranks"`` each vertex is labelled with its rank.
+    """
+    if annotate not in ("none", "ranks"):
+        raise GuardError(f"unknown annotation {annotate!r}")
+    canon = canonical_form(tree)
+    lines = ["digraph tree {"]
+    if annotate == "ranks":
+        ranks = all_ranks(canon)
+        for v in range(len(canon)):
+            lines.append(f'  {v} [label="{ranks[v]}"];')
+    else:
+        for v in range(len(canon)):
+            lines.append(f"  {v};")
+    for v in range(len(canon)):
+        for c in canon.children(v):
+            lines.append(f"  {v} -> {c};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def all_ranks(tree):
     """Rank of every vertex, indexed by vertex id.
 
@@ -296,20 +323,6 @@ def all_ranks(tree):
     par = tree._parents
     big = n + 1
     ranks = [big] * n
-    if tree._topo:
-        # parents precede children, so a reverse index scan is post-order
-        for v in range(n - 1, 0, -1):
-            rv = ranks[v]
-            if rv == big:
-                rv = 0
-                ranks[v] = 0
-            c = rv + 1
-            p = par[v]
-            if c < ranks[p]:
-                ranks[p] = c
-        if ranks[0] == big:
-            ranks[0] = 0
-        return ranks
     for v in reversed(tree._top_down_order()):
         rv = ranks[v]
         if rv == big:

@@ -334,6 +334,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "size guard" in err and out == ""
 
+    def test_deep_json_input_is_a_size_refusal(self, capsys, monkeypatch):
+        deep = '{"children": [' * 5000 + '{"children": []}' + "]}" * 5000
+        monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+        code, out, err = run(capsys, "security", "--file", "-")
+        assert code == 2 and err.startswith("treesec: size guard:") and out == ""
+
+    def test_deep_json_export_is_a_size_refusal(self, capsys):
+        deep = "(L" * 3000 + "L" + ")" * 3000
+        code, out, err = run(capsys, "export", "--format", "json", "--tree", deep)
+        assert code == 2 and err.startswith("treesec: size guard:") and out == ""
+
     def test_verify_empty_kary_range_is_one(self, capsys):
         code, out, err = run(capsys, "verify", "--kary", "0", "3")
         assert code == 1 and "error" in err and out == ""
@@ -383,3 +394,21 @@ def test_package_imports_only_the_standard_library():
     imported = set(result.stdout.split())
     assert "treesec" in imported
     assert imported - {"treesec"} <= sys.stdlib_module_names
+
+
+def test_module_entry_point_runs_without_warnings():
+    # a fresh interpreter, so that the package is imported the way ``-m`` does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "treesec.cli", "security", "--tree", "(LL)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+    probe = "import sys, treesec; print('treesec.cli' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.stdout == "False\n"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -213,3 +214,46 @@ class TestBruteForceRootRank:
             brute_force_max_root_rank(6, k=2, proper=True)
         with pytest.raises(GuardError):
             brute_force_max_root_rank(3, root_degree=5)
+
+
+class TestKaryPinned:
+    """sha256 over every k-ary table up to its guard, so that a change to
+    the k-ary shape tables cannot reorder, drop or re-measure a tree."""
+
+    GUARD = {1: 64, 2: 14, 3: 12, 4: 11, None: 11}
+
+    def _orders(self):
+        for k, top in self.GUARD.items():
+            for n in range(1, top + 1):
+                yield k, n, (False, True) if k else (False,)
+
+    def test_trees(self):
+        h = hashlib.sha256()
+        count = 0
+        for k, n, propers in self._orders():
+            for proper in propers:
+                for t in enumerate_kary_trees(n, k, proper):
+                    h.update(f"{k} {n} {proper} {t._parents!r}\n".encode())
+                    count += 1
+        assert count == 19957
+        assert h.hexdigest() == (
+            "6c7702061cd2893ec4046f32afe21665681814744d787018e0953239b1bf0e2e"
+        )
+
+    def test_verdicts(self):
+        h = hashlib.sha256()
+        count = 0
+        for k, n, propers in self._orders():
+            for root_degree in (None, 1, 2, 3, 4):
+                for proper in propers:
+                    try:
+                        r = brute_force_max_root_rank(n, k, root_degree, proper)
+                        out = f"{r.max_root_rank} {r.max_vertex_rank} {r.trees_scanned}"
+                    except GuardError as e:
+                        out = f"GuardError {e}"
+                    h.update(f"{k} {n} {root_degree} {proper} {out}\n".encode())
+                    count += 1
+        assert count == 1065
+        assert h.hexdigest() == (
+            "39a6809ef7a42c1200807bbd5f0f189979ac4bce332a813411ac3806dea94b82"
+        )
