@@ -34,8 +34,12 @@ def _read_tree_arg(args):
     elif args.file == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            reason = getattr(e, "strerror", e)  # an OSError's text repeats the path
+            raise GuardError(f"cannot read {args.file}: {reason}") from None
     return trees.read_tree(text)
 
 

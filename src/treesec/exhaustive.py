@@ -11,7 +11,7 @@ deterministic for fixed inputs.
 A proper binary shape is a plain tuple ``(key, rank, security, left,
 right)``, with ``left`` the child that comes first in canonical order; a
 leaf's children are None.  ``key`` is the shape's canonical text in the
-collation of ``trees._canon_key`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
+collation keys of ``trees`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
 base-3 digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` trits, the
 longest text the guard admits.  Canonical texts are prefix-free, so integer
 order is canonical order, and a pair's key is composed without any text:
@@ -30,7 +30,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import GuardError, SizeError
-from .trees import RootedTree, _canon_key
+from .trees import RootedTree
+from .trees import _CLOSE_KEY as _KCLOSE, _LEAF_KEY as _KLEAF_KEY, _OPEN_KEY as _KOPEN
 
 __all__ = [
     "ShapeCensus",
@@ -194,8 +195,7 @@ def census_json(rows):
     )
 
 
-_KLEAF = (_canon_key("L"), 0, 0, True)
-_KOPEN, _KCLOSE = _canon_key("("), _canon_key(")")
+_KLEAF = (_KLEAF_KEY, 0, 0, True)
 _klevels = {}
 
 

@@ -20,10 +20,12 @@ from itertools import islice
 from .builders import _spine_parents, binary_power_representation, build_power_spine
 from .errors import GuardError
 from .trees import (
+    _CLOSE_KEY,
+    _LEAF_KEY,
+    _OPEN_KEY,
     RootedTree,
-    _canon_key,
+    _canonical,
     all_ranks,
-    canonical_order,
     is_isomorphic,
     saturated_vertices,
 )
@@ -382,10 +384,6 @@ def _select_switch(tree, x, y, ranks):
     raise GuardError(f"no switching rule accepts vertices {x} and {y}")
 
 
-# collation is per character, so a subtree's key is built from its children's
-_LEAF_KEY, _OPEN_KEY, _CLOSE_KEY = (_canon_key(t) for t in "L()")
-
-
 class _Arena:
     """Private mutable copy of a proper binary tree for the normalizer.
 
@@ -578,6 +576,8 @@ def flip_adjacent(tree, i, variant):
     k = len(rep)
     if variant not in (1, 2):
         raise GuardError("variant must be 1 or 2")
+    if k < 3:
+        raise GuardError("no flip exists for this leaf count (fewer than 3 blocks)")
     if not 2 <= i <= k - 1:
         raise GuardError(f"index must be in [2, {k - 1}] for this leaf count")
     if rep[i - 1] != rep[i] + 1:
@@ -595,21 +595,15 @@ def flip_adjacent(tree, i, variant):
 
 def _deepest_canonical_leaf(tree, v):
     """Deepest leaf of v's subtree, ties broken by canonical preorder."""
-    depths = tree.depths()
-    pos = {u: i for i, u in enumerate(canonical_order(tree))}
-    best_key = None
-    best = None
-    stack = [v]
+    _, kids = _canonical(tree)
+    best, best_depth = v, -1
+    stack = [(v, 0)]
     while stack:
-        x = stack.pop()
-        kids = tree.children(x)
-        if kids:
-            stack.extend(kids)
-        else:
-            key = (-depths[x], pos[x])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = x
+        x, d = stack.pop()
+        if kids[x]:
+            stack.extend((c, d + 1) for c in reversed(kids[x]))
+        elif d > best_depth:
+            best, best_depth = x, d
     return best
 
 

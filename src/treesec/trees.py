@@ -228,7 +228,7 @@ def serialize(tree, canonical=False):
     two trees are isomorphic iff their canonical serializations are equal.
     """
     if canonical:
-        return _canon_strings(tree)[tree.root]
+        return _canonical(tree)[0].translate(_KEY_TEXT)
     out = []
     stack = [(tree.root, False)]
     ch = tree._child_lists()
@@ -354,28 +354,31 @@ def protected_count(tree, level):
     return sum(1 for r in all_ranks(tree) if r >= level)
 
 
-# Collation for canonical child order: at every position a closed group
+# Collation keys of the canonical text: at every position a closed group
 # beats a leaf beats an opening group, so leaves come first and smaller
 # subtrees precede larger ones with a common prefix.
-_COLLATION = str.maketrans(")L(", "012")
+_CLOSE_KEY, _LEAF_KEY, _OPEN_KEY = "0", "1", "2"
+_KEY_TEXT = str.maketrans("012", ")L(")
 
 
-def _canon_key(s):
-    return s.translate(_COLLATION)
+def _canonical(tree):
+    """The root's collation key (its canonical text spelt in collation keys)
+    and every vertex's children in canonical order: ascending key, the
+    higher id first between equal keys.
 
-
-def _canon_strings(tree):
-    """Canonical serialization of every vertex's subtree."""
-    canon = [None] * len(tree)
+    A child's key is dropped once its parent's key is built, so the live
+    keys cover disjoint subtrees and memory stays linear."""
     ch = tree._child_lists()
+    key = [_LEAF_KEY] * len(tree)
+    kids = list(ch)
     for v in reversed(tree._top_down_order()):
-        kids = ch[v]
-        if not kids:
-            canon[v] = "L"
-        else:
-            parts = sorted((canon[c] for c in kids), key=_canon_key)
-            canon[v] = "(" + "".join(parts) + ")"
-    return canon
+        if ch[v]:
+            # children are stored by increasing id, and the sort is stable
+            kids[v] = ordered = sorted(reversed(ch[v]), key=key.__getitem__)
+            key[v] = "".join([_OPEN_KEY, *map(key.__getitem__, ordered), _CLOSE_KEY])
+            for c in ordered:
+                key[c] = None
+    return key[tree.root], kids
 
 
 def canonical_order(tree):
@@ -384,15 +387,13 @@ def canonical_order(tree):
     The canonical preorder index of a vertex is its position in this list;
     it is the vertex addressing used by the CLI.
     """
-    canon = _canon_strings(tree)
-    ch = tree._child_lists()
+    _, kids = _canonical(tree)
     order = []
     stack = [tree.root]
     while stack:
         v = stack.pop()
         order.append(v)
-        for c in sorted(ch[v], key=lambda c: _canon_key(canon[c]), reverse=True):
-            stack.append(c)
+        stack.extend(reversed(kids[v]))
     return order
 
 
@@ -415,7 +416,7 @@ def is_isomorphic(a, b):
     """True iff the trees are isomorphic as unordered rooted trees."""
     if len(a) != len(b):
         return False
-    return _canon_strings(a)[a.root] == _canon_strings(b)[b.root]
+    return _canonical(a)[0] == _canonical(b)[0]
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "export", "--format", "json", "--tree", deep)
         assert code == 2 and err.startswith("treesec: size guard:") and out == ""
 
+    @pytest.mark.parametrize("name", ["missing.txt", "a-directory", "latin1.txt"])
+    def test_unreadable_file_is_one(self, capsys, tmp_path, name):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "latin1.txt").write_bytes(b"(L\xe9L)")
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "security", "--file", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"treesec: error: cannot read {path}: ")
+
     def test_verify_empty_kary_range_is_one(self, capsys):
         code, out, err = run(capsys, "verify", "--kary", "0", "3")
         assert code == 1 and "error" in err and out == ""
@@ -375,6 +384,41 @@ class TestPinnedOutputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Runs one CLI command as a child process and prints its exit code and peak
+# RSS in KiB, read with ``os.wait4`` as perfbench does.  A forked child's peak
+# counts the memory of the process that forked it, so this small interpreter
+# does the forking rather than the test process.
+_PEAK_RSS_PROBE = """
+import os, subprocess, sys
+with open(sys.argv[1]) as stdin:
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treesec.cli", *sys.argv[2:], "--file", "-"],
+        stdin=stdin,
+        stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("argv", [["rank"], ["export", "--format", "dot"]])
+def test_deep_tree_commands_stay_small(tmp_path, argv):
+    path = tmp_path / "caterpillar.txt"
+    path.write_text("(L" * 16382 + "(LL)" + ")" * 16382)  # 16,384 leaves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, str(path), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 < 100  # MB
 
 
 def test_package_imports_only_the_standard_library():

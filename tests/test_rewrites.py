@@ -500,6 +500,11 @@ class TestFlip:
         with pytest.raises(GuardError):
             flip_adjacent(build_power_spine(11), 1, 1)
 
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_fewer_than_three_blocks_have_no_flip(self, leaves):
+        with pytest.raises(GuardError, match="no flip exists for this leaf count"):
+            flip_adjacent(build_power_spine(leaves), 2, 1)
+
     def test_exponent_gap_guard(self):
         # representation (3, 2, 0): positions 2 and 3 differ by two
         with pytest.raises(GuardError):

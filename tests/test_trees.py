@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,17 @@ from treesec import (
     ParseError,
     RootedTree,
     all_ranks,
+    build_binary_caterpillar,
     canonical_form,
     canonical_order,
     classify,
+    enumerate_kary_trees,
     is_isomorphic,
     parse,
     partition_vector,
     protected_count,
     read_tree,
+    reroot_at_vertex,
     saturated_vertices,
     security,
     serialize,
@@ -206,6 +211,67 @@ class TestCanonical:
     def test_canonical_form_is_isomorphic(self, text):
         t = parse(text)
         assert is_isomorphic(canonical_form(t), t)
+
+
+# sha256 over canonical_order, the canonical text and the canonical_form
+# parents of every corpus tree, plus the reroot_at_vertex parents at every
+# vertex in both modes; the corpus is full of isomorphic siblings, so this
+# pins every tie-break of the canonical order
+TIE_BREAK_DIGEST = "1d0ac2f1ffe47ec25bedb2dd1d7936dc9c2143946f7ab0a805d840d93457129d"
+
+
+def _parents(tree):
+    return [tree.parent(v) for v in range(len(tree))]
+
+
+def _caterpillar_text(leaves):
+    return "(L" * (leaves - 2) + "(LL)" + ")" * (leaves - 2)
+
+
+class TestCanonicalPinned:
+    def test_tie_breaks_are_pinned(self):
+        rng = random.Random(5)
+        corpus = [
+            shuffled_copy(t, rng) for n in range(1, 10) for t in enumerate_kary_trees(n)
+        ]
+        corpus += [random_general(rng.randint(1, 80), rng) for _ in range(300)]
+        corpus += [random_proper_binary(rng.randint(1, 40), rng) for _ in range(300)]
+        digest = hashlib.sha256()
+        for t in corpus:
+            lines = [canonical_order(t), serialize(t, canonical=True)]
+            lines.append(_parents(canonical_form(t)))
+            for mode in ("general", "degree_preserving"):
+                lines += [_parents(reroot_at_vertex(t, v, mode)) for v in range(len(t))]
+            digest.update(repr(lines).encode())
+        assert len(corpus) == 1086
+        assert digest.hexdigest() == TIE_BREAK_DIGEST
+
+    def test_deep_siblings_one_leaf_apart(self):
+        # the 3001-leaf caterpillar with every child list reversed
+        mirror = "(" * 2999 + "(LL)" + "L)" * 2999
+        text = "(" + mirror + _caterpillar_text(3000) + ")"
+        want = "(" + _caterpillar_text(3000) + _caterpillar_text(3001) + ")"
+        assert serialize(parse(text), canonical=True) == want
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: serialize(a, canonical=True),
+            lambda a, b: canonical_form(a),
+            is_isomorphic,
+        ],
+        ids=["serialize", "canonical_form", "is_isomorphic"],
+    )
+    def test_caterpillar_memory_is_linear(self, op):
+        a = build_binary_caterpillar(16384)
+        b = shuffled_copy(a, random.Random(16384))
+        tracemalloc.start()
+        try:
+            op(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestIsomorphism:
