@@ -131,7 +131,9 @@ def build_almost_complete_stepwise(leaves):
 
     One block of the binary power representation is absorbed per step: the
     leftmost undisturbed complete subtree of the next size down is expanded
-    by one level.  Produces a tree isomorphic to the direct construction.
+    by one level.  Produces a tree isomorphic to the direct construction;
+    renumbered in level order, with each vertex's children taken by
+    increasing id, its parent array equals the direct one.
     """
     if leaves < 1:
         raise GuardError("leaf count must be at least 1")

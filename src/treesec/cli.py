@@ -164,10 +164,7 @@ def _cmd_verify(args, out):
         raise GuardError("nothing to verify: pass --max-leaves, --kary or --starlike")
     if args.max_leaves is not None:
         _require(args.max_leaves >= 3, "--max-leaves must be at least 3")
-        if args.max_leaves > exhaustive.MAX_ENUM_LEAVES:
-            raise SizeError(
-                f"leaf count over enumeration guard ({exhaustive.MAX_ENUM_LEAVES})"
-            )
+        exhaustive._leaf_guard(args.max_leaves)
     if args.kary:
         n, k = args.kary
         _require(n >= 1, "--kary order must be at least 1")
@@ -251,9 +248,8 @@ def _run(args, out):
         if args.count_only:
             out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
         else:
-            # enumerate_shapes yields trees already in canonical form
-            for tree in exhaustive.enumerate_shapes(args.leaves):
-                out.write(trees.serialize(tree) + "\n")
+            for text in exhaustive._shape_texts(args.leaves):
+                out.write(text + "\n")
     elif cmd == "verify":
         _cmd_verify(args, out)
     elif cmd == "table":

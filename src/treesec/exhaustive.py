@@ -8,21 +8,25 @@ pairing (proper binary) or by multiset composition of child subtrees
 streamed in canonical order.  Generation is sequential; the merge order is
 deterministic for fixed inputs.
 
-A proper binary shape is a plain tuple ``(key, rank, security, left,
-right)``, with ``left`` the child that comes first in canonical order; a
-leaf's children are None.  ``key`` is the shape's canonical text in the
-collation keys of ``trees`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
-base-3 digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` trits, the
-longest text the guard admits.  Canonical texts are prefix-free, so integer
-order is canonical order, and a pair's key is composed without any text:
-an a-leaf text has 3a - 2 characters, so ``(AB)`` is ``OPEN + key(A) // 3
-+ key(B) // 3 ** (3a - 1)`` with ``OPEN`` the digit 2 in the top trit.
+A shape's key is its canonical text, so trees come from
+:func:`treesec.trees.parse` alone and the canonical ids are parse's
+preorder ids.
+
+A proper binary shape is a plain tuple ``(key, rank, security)``.  ``key``
+is the shape's canonical text in the collation keys of ``trees`` (``)`` =
+0, ``L`` = 1, ``(`` = 2) read as hexadecimal digits and left-aligned in
+``3 * MAX_ENUM_LEAVES - 2`` digits, the longest text the guard admits.
+Canonical texts are prefix-free, so integer order is canonical order, and a
+pair's key is composed without any text: an a-leaf text has 3a - 2
+characters, so ``(AB)`` is ``OPEN + (key(A) >> 4) + (key(B) >> 4 * (3a -
+1))`` with ``OPEN`` the digit 2 in the top place.
 
 A bounded-outdegree shape is a plain tuple ``(canon, root_rank, max_rank,
-proper, *kids)``: ``canon`` is the canonical text already in that collation
-(as a string), ``proper`` says every outdegree is 0 or exactly the arity
-bound, and the kids follow in canonical order.  ``canon`` is unique within a
-table, so tuple order is canonical order and no sort needs a key.
+proper, degree)``: ``canon`` is the canonical text already in that
+collation (as a string), ``proper`` says every outdegree is 0 or exactly
+the arity bound, and ``degree`` is the root's outdegree.  ``canon`` is
+unique within a table, so tuple order is canonical order and no sort needs
+a key.
 """
 
 from dataclasses import dataclass
@@ -30,8 +34,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import GuardError, SizeError
-from .trees import RootedTree
-from .trees import _CLOSE_KEY as _KCLOSE, _LEAF_KEY as _KLEAF_KEY, _OPEN_KEY as _KOPEN
+from .trees import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY, parse
 
 __all__ = [
     "ShapeCensus",
@@ -51,17 +54,23 @@ __all__ = [
 MAX_ENUM_LEAVES = 22
 MAX_CENSUS_LEAVES = 20
 
-# The top trit of a key: ``L`` for the leaf, ``(`` for every pair.
-_LEAF_KEY = 3 ** (3 * MAX_ENUM_LEAVES - 3)
-_OPEN = 2 * _LEAF_KEY
-_blevels = {1: [(_LEAF_KEY, 0, 0, None, None)]}
+# A key has one hex digit per character of the longest text the guard
+# admits; its top digit is ``L`` for the leaf and ``(`` for every pair.
+_HEX = f"0{3 * MAX_ENUM_LEAVES - 2}x"
+_BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
+_BOPEN = 2 * _BLEAF
+_blevels = {1: [(_BLEAF, 0, 0)]}
 
 
-def _bshapes(leaves):
+def _leaf_guard(leaves):
     if leaves < 1:
         raise GuardError("leaf count must be at least 1")
     if leaves > MAX_ENUM_LEAVES:
         raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
+
+
+def _bshapes(leaves):
+    _leaf_guard(leaves)
     out = _blevels.get(leaves)
     if out is None:
         out = []
@@ -69,34 +78,29 @@ def _bshapes(leaves):
         for a in range(1, leaves // 2 + 1):
             small = _bshapes(a)
             big = _bshapes(leaves - a)
-            shift_x, shift_y = 3 ** (3 * a - 1), 3 ** (3 * (leaves - a) - 1)
-            for i, x in enumerate(small):
-                kx, rx, sx, _, _ = x
-                head = _OPEN + kx // 3
-                for y in small[i:] if big is small else big:
-                    ky, ry, sy, _, _ = y
+            shift_x, shift_y = 4 * (3 * a - 1), 4 * (3 * (leaves - a) - 1)
+            for i, (kx, rx, sx) in enumerate(small):
+                head = _BOPEN + (kx >> 4)
+                for ky, ry, sy in small[i:] if big is small else big:
                     rank = (rx if rx < ry else ry) + 1
                     sec = sx + sy + rank
                     if kx < ky:
-                        append((head + ky // shift_x, rank, sec, x, y))
+                        append((head + (ky >> shift_x), rank, sec))
                     else:
-                        append((_OPEN + ky // 3 + kx // shift_y, rank, sec, y, x))
+                        append((_BOPEN + (ky >> 4) + (kx >> shift_y), rank, sec))
         out.sort()
         _blevels[leaves] = out
     return out
 
 
-def _shape_tree(shape):
-    parents = []
-    stack = [(shape, -1)]
-    while stack:
-        (_, _, _, left, right), par = stack.pop()
-        idx = len(parents)
-        parents.append(par)
-        if left is not None:
-            stack.append((right, idx))
-            stack.append((left, idx))
-    return RootedTree._make(parents, topo=True)
+def _shape_texts(leaves, security=None):
+    """The canonical texts of the proper binary shapes on ``leaves`` leaves,
+    in canonical order; with ``security`` set, only the shapes of that
+    security."""
+    cut = 3 * leaves - 2
+    for key, _, sec in _bshapes(leaves):
+        if security is None or sec == security:
+            yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
 
 
 def enumerate_shapes(leaves):
@@ -106,8 +110,8 @@ def enumerate_shapes(leaves):
     Each tree is already in canonical form: its ids are in canonical
     preorder and its children are stored in canonical order, so
     ``serialize(t)`` equals ``serialize(t, canonical=True)``."""
-    for shape in _bshapes(leaves):
-        yield _shape_tree(shape)
+    for text in _shape_texts(leaves):
+        yield parse(text)
 
 
 def count_shapes(leaves):
@@ -132,7 +136,7 @@ def brute_force_extremes(leaves):
     best = -1
     count = 0
     total = 0
-    for _, _, sec, _, _ in _bshapes(leaves):
+    for _, _, sec in _bshapes(leaves):
         total += 1
         if sec > best:
             best = sec
@@ -152,9 +156,8 @@ def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
     order (streamed; nothing is materialized beyond the shape table)."""
     best = max(s[2] for s in _bshapes(leaves))
-    for shape in _bshapes(leaves):
-        if shape[2] == best:
-            yield _shape_tree(shape)
+    for text in _shape_texts(leaves, best):
+        yield parse(text)
 
 
 def census_table(max_leaves):
@@ -195,7 +198,7 @@ def census_json(rows):
     )
 
 
-_KLEAF = (_KLEAF_KEY, 0, 0, True)
+_KLEAF = (_LEAF_KEY, 0, 0, True, 0)
 _klevels = {}
 
 
@@ -239,28 +242,16 @@ def _kshapes(n, k):
                 root_rank = 1 + min(s[1] for s in kids)
                 lst.append(
                     (
-                        _KOPEN + "".join(s[0] for s in kids) + _KCLOSE,
+                        _OPEN_KEY + "".join(s[0] for s in kids) + _CLOSE_KEY,
                         root_rank,
                         max(root_rank, *(s[2] for s in kids)),
                         len(kids) == k and all(s[3] for s in kids),
-                        *kids,
+                        len(kids),
                     )
                 )
             lst.sort()
         _klevels[(n, k)] = lst
     return lst
-
-
-def _kshape_tree(shape):
-    parents = []
-    stack = [(shape, -1)]
-    while stack:
-        node, par = stack.pop()
-        idx = len(parents)
-        parents.append(par)
-        for kid in reversed(node[4:]):
-            stack.append((kid, idx))
-    return RootedTree._make(parents, topo=True)
 
 
 def _kary_class(n, k, root_degree, proper):
@@ -271,7 +262,7 @@ def _kary_class(n, k, root_degree, proper):
     if proper and k is None:
         raise GuardError("proper enumeration needs an arity bound")
     for shape in _kshapes(n, k):
-        if (root_degree is None or len(shape) - 4 == root_degree) and (
+        if (root_degree is None or shape[4] == root_degree) and (
             shape[3] or not proper
         ):
             yield shape
@@ -285,7 +276,7 @@ def enumerate_kary_trees(n, k=None, proper=False):
     or exactly k are yielded; for some orders this class is empty.
     """
     for shape in _kary_class(n, k, None, proper):
-        yield _kshape_tree(shape)
+        yield parse(shape[0].translate(_KEY_TEXT))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ ignored; any other stray character is a parse error.  A JSON form
 """
 
 import json
+import string
 from dataclasses import dataclass
 
 from .errors import GuardError, ParseError, SizeError
@@ -182,42 +183,32 @@ def parse(text):
     the byte offset on malformed input.
     """
     parents = []
-    childcount = []
-    stack = []
-    done = False
+    top = -1  # the innermost open vertex; -1 outside every group
     for i, c in enumerate(text):
-        if c.isspace():
-            continue
-        if done:
-            raise ParseError("trailing content after the tree", i)
         if c == "L":
-            parents.append(stack[-1] if stack else -1)
-            childcount.append(0)
-            if stack:
-                childcount[stack[-1]] += 1
-            else:
-                done = True
+            parents.append(top)
+            if top < 0:
+                break
         elif c == "(":
-            idx = len(parents)
-            parents.append(stack[-1] if stack else -1)
-            childcount.append(0)
-            if stack:
-                childcount[stack[-1]] += 1
-            stack.append(idx)
+            parents.append(top)
+            top = len(parents) - 1
         elif c == ")":
-            if not stack:
+            if top < 0:
                 raise ParseError("unbalanced ')'", i)
-            v = stack.pop()
-            if childcount[v] == 0:
+            if top == len(parents) - 1:
                 raise ParseError("empty internal vertex", i)
-            if not stack:
-                done = True
-        else:
+            top = parents[top]
+            if top < 0:
+                break
+        elif c not in string.whitespace:
             raise ParseError(f"stray character {c!r}", i)
-    if stack:
-        raise ParseError("unbalanced '('", len(text))
-    if not parents:
+    else:
+        if parents:
+            raise ParseError("unbalanced '('", len(text))
         raise ParseError("empty input", 0)
+    rest = text[i + 1 :].lstrip(string.whitespace)
+    if rest:
+        raise ParseError("trailing content after the tree", len(text) - len(rest))
     return RootedTree._make(parents, topo=True)
 
 

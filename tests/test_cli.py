@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 from treesec import exhaustive
-from treesec import export_dot, is_isomorphic, max_security, parse, read_tree, security
+from treesec import (
+    enumerate_shapes,
+    export_dot,
+    is_isomorphic,
+    max_security,
+    parse,
+    read_tree,
+    security,
+    serialize,
+)
 from treesec.cli import main
 
 FIG1 = "((L(LL))(L((LL)(LL))))"
@@ -274,6 +283,13 @@ class TestTreeInputs:
             reparsed = read_tree(out)
             _, again, _ = run(capsys, "security", "--tree", out.strip())
             assert int(again) == security(reparsed)
+
+    def test_enumerate_lines_are_the_library_trees(self, capsys):
+        # the CLI prints the table's texts; the library parses them into trees
+        for leaves in range(1, 15):
+            code, out, _ = run(capsys, "enumerate", "--leaves", str(leaves))
+            want = "".join(serialize(t) + "\n" for t in enumerate_shapes(leaves))
+            assert code == 0 and out == want, leaves
 
     def test_enumerate_output_reparses(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--leaves", "6")

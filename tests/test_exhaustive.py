@@ -59,6 +59,28 @@ class TestShapeEnumeration:
             assert count_shapes(leaves) == wedderburn_etherington(leaves)
 
 
+class TestBinaryPinned:
+    """sha256 over the trees that the binary tables yield, so that a change
+    to the binary shape tables or to how a shape becomes a tree cannot
+    reorder, drop or renumber one."""
+
+    def test_trees(self):
+        h = hashlib.sha256()
+        count = 0
+        for leaves in range(1, 17):
+            for t in enumerate_shapes(leaves):
+                h.update(f"{leaves} {t._parents!r}\n".encode())
+                count += 1
+        for leaves in range(1, 21):
+            for t in maximizer_shapes(leaves):
+                h.update(f"{leaves} {t._parents!r}\n".encode())
+                count += 1
+        assert count == 19838
+        assert h.hexdigest() == (
+            "81d9ac865a69ace3c3a0b830a5fcd2f4f53915d4518e77684b4d2a5aab137a14"
+        )
+
+
 class TestSecurityCensus:
     def test_seven_leaves(self):
         c = brute_force_extremes(7)

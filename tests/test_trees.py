@@ -48,6 +48,25 @@ tree_texts = st.recursive(
 )
 
 
+_PARSE_ERRORS = [
+    ("()", "empty internal vertex", 1),
+    ("(L()L)", "empty internal vertex", 3),
+    ("(LL", "unbalanced '('", 3),
+    (")", "unbalanced ')'", 0),
+    ("(LL))", "trailing content after the tree", 4),
+    ("(LL) x", "trailing content after the tree", 5),
+    ("(LL)(", "trailing content after the tree", 4),
+    ("LL", "trailing content after the tree", 1),
+    ("L\x1c", "trailing content after the tree", 1),
+    ("x", "stray character 'x'", 0),
+    ("(Lx)", "stray character 'x'", 2),
+    ("(L\u00a0L)", "stray character '\\xa0'", 2),
+    ("\u2003L", "stray character '\\u2003'", 0),
+    ("", "empty input", 0),
+    (" \t\n", "empty input", 0),
+]
+
+
 class TestParse:
     def test_single_leaf(self):
         t = parse("L")
@@ -65,22 +84,17 @@ class TestParse:
     def test_whitespace_is_a_separator(self):
         assert is_isomorphic(parse(" ( L ( L L ) ) "), parse("(L(LL))"))
 
+    # a case's id names its text and offset
     @pytest.mark.parametrize(
-        "text,offset",
-        [
-            ("()", 1),
-            ("(LL", 3),
-            ("(LL))", 4),
-            ("x", 0),
-            ("(Lx)", 2),
-            ("LL", 1),
-            ("", 0),
-        ],
+        "text,message,offset",
+        _PARSE_ERRORS,
+        ids=[f"{text}-{offset}" for text, _, offset in _PARSE_ERRORS],
     )
-    def test_errors_carry_offsets(self, text, offset):
+    def test_errors_carry_offsets(self, text, message, offset):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.offset == offset
+        assert str(err.value) == f"{message} (at offset {offset})"
 
     @given(tree_texts)
     def test_roundtrip_is_idempotent(self, text):
