@@ -27,11 +27,27 @@ collation (as a string), ``proper`` says every outdegree is 0 or exactly
 the arity bound, and ``degree`` is the root's outdegree.  ``canon`` is
 unique within a table, so tuple order is canonical order and no sort needs
 a key.
+
+The census counts come from a recurrence over classes, not from a table.
+:func:`_shape_classes` counts the proper binary shapes of each leaf count
+by (root rank, security).  A shape is a leaf or an unordered pair of
+shapes: for sides of a < b leaves the class counts multiply, and for a = b
+two different classes give c * c' pairs and a class paired with itself
+gives c(c + 1) / 2.  A pair's rank is one more than its smaller child's,
+and its security is the children's sum plus that rank.  This is the
+Wedderburn-Etherington pairing refined by two statistics, keyed on raw
+security and taking nothing from :mod:`treesec.formulas`.
+:func:`count_shapes`, :func:`census_table` and the best security of
+:func:`maximizer_shapes` read it.  :func:`brute_force_extremes` (which
+``verify`` calls) and every function that yields shapes measure the
+enumerated table, so enumeration stays the oracle for the closed forms.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .errors import GuardError, SizeError
 from .trees import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY, parse
@@ -60,6 +76,7 @@ _HEX = f"0{3 * MAX_ENUM_LEAVES - 2}x"
 _BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
 _BOPEN = 2 * _BLEAF
 _blevels = {1: [(_BLEAF, 0, 0)]}
+_class_levels = {1: Counter({(0, 0): 1})}
 
 
 def _leaf_guard(leaves):
@@ -114,9 +131,29 @@ def enumerate_shapes(leaves):
         yield parse(text)
 
 
+def _shape_classes(leaves):
+    """``{(root rank, security): count}`` over the proper binary shapes on
+    ``leaves`` leaves, by the pairing recurrence alone."""
+    _leaf_guard(leaves)
+    out = _class_levels.get(leaves)
+    if out is None:
+        out = Counter()
+        for a in range(1, leaves // 2 + 1):
+            small = list(_shape_classes(a).items())
+            big = small if 2 * a == leaves else list(_shape_classes(leaves - a).items())
+            for i, ((rx, sx), cx) in enumerate(small):
+                for j, ((ry, sy), cy) in enumerate(small[i:] if big is small else big):
+                    rank = (rx if rx < ry else ry) + 1
+                    # c shapes of one class make c(c+1)/2 unordered pairs
+                    same = big is small and j == 0
+                    out[rank, sx + sy + rank] += cx * (cx + 1) // 2 if same else cx * cy
+        _class_levels[leaves] = out
+    return out
+
+
 def count_shapes(leaves):
     """Number of non-isomorphic proper binary trees with ``leaves`` leaves."""
-    return len(_bshapes(leaves))
+    return sum(_shape_classes(leaves).values())
 
 
 @dataclass(frozen=True)
@@ -130,19 +167,11 @@ class ShapeCensus:
     maximizer_fraction: Fraction
 
 
-def brute_force_extremes(leaves):
-    """Measure every shape: the exact maximum security, how many shapes
-    attain it, and the fraction of shapes that do."""
-    best = -1
-    count = 0
-    total = 0
-    for _, _, sec in _bshapes(leaves):
-        total += 1
-        if sec > best:
-            best = sec
-            count = 1
-        elif sec == best:
-            count += 1
+def _census_row(leaves, by_security):
+    """The census row of one leaf count from its ``{security: count}``."""
+    total = sum(by_security.values())
+    best = max(by_security)
+    count = by_security[best]
     return ShapeCensus(
         leaf_count=leaves,
         total_shapes=total,
@@ -152,10 +181,16 @@ def brute_force_extremes(leaves):
     )
 
 
+def brute_force_extremes(leaves):
+    """Measure every shape: the exact maximum security, how many shapes
+    attain it, and the fraction of shapes that do."""
+    return _census_row(leaves, Counter(map(itemgetter(2), _bshapes(leaves))))
+
+
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
     order (streamed; nothing is materialized beyond the shape table)."""
-    best = max(s[2] for s in _bshapes(leaves))
+    best = max(sec for _, sec in _shape_classes(leaves))
     for text in _shape_texts(leaves, best):
         yield parse(text)
 
@@ -166,7 +201,13 @@ def census_table(max_leaves):
         raise GuardError("max leaves must be at least 1")
     if max_leaves > MAX_CENSUS_LEAVES:
         raise SizeError(f"census guard is {MAX_CENSUS_LEAVES} leaves")
-    return [brute_force_extremes(l) for l in range(1, max_leaves + 1)]
+    rows = []
+    for leaves in range(1, max_leaves + 1):
+        by_security = Counter()
+        for (_, sec), count in _shape_classes(leaves).items():
+            by_security[sec] += count
+        rows.append(_census_row(leaves, by_security))
+    return rows
 
 
 def census_tsv(rows):

@@ -379,6 +379,33 @@ class TestExitCodes:
         assert code == 1 and "error" in err and out == ""
 
 
+# the census commands that read the counting recurrence, at their guards
+CENSUS_COUNTS = [
+    ["table", "--max-leaves", "20"],
+    ["enumerate", "--leaves", "22", "--count-only"],
+]
+
+
+class TestCensusPaths:
+    """The census counts come from the counting recurrence and build no
+    shape table; ``verify`` measures the enumerated shapes."""
+
+    @staticmethod
+    def _fail(leaves):
+        raise AssertionError(f"the {leaves}-leaf computation ran")
+
+    @pytest.mark.parametrize("argv", CENSUS_COUNTS)
+    def test_counts_build_no_shape_table(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(exhaustive, "_bshapes", self._fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out
+
+    def test_verify_enumerates(self, capsys, monkeypatch):
+        monkeypatch.setattr(exhaustive, "_shape_classes", self._fail)
+        code, out, _ = run(capsys, "verify", "--max-leaves", "20")
+        assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
+
+
 class TestPinnedOutputs:
     """sha256 of the census commands' stdout, pinned so that a change to
     the shape tables cannot alter a byte of what they print."""
@@ -402,30 +429,27 @@ class TestPinnedOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Runs one CLI command as a child process and prints its exit code and peak
-# RSS in KiB, read with ``os.wait4`` as perfbench does.  A forked child's peak
-# counts the memory of the process that forked it, so this small interpreter
-# does the forking rather than the test process.
+# Runs one CLI command, its argv given whole, as a child process that
+# inherits stdin, and prints its exit code and peak RSS in KiB, read with
+# ``os.wait4`` as perfbench does.  A forked child's peak counts the memory of
+# the process that forked it, so this small interpreter does the forking
+# rather than the test process.
 _PEAK_RSS_PROBE = """
 import os, subprocess, sys
-with open(sys.argv[1]) as stdin:
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "treesec.cli", *sys.argv[2:], "--file", "-"],
-        stdin=stdin,
-        stdout=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
+proc = subprocess.Popen(
+    [sys.executable, "-m", "treesec.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL
+)
+_, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-@pytest.mark.parametrize("argv", [["rank"], ["export", "--format", "dot"]])
-def test_deep_tree_commands_stay_small(tmp_path, argv):
-    path = tmp_path / "caterpillar.txt"
-    path.write_text("(L" * 16382 + "(LL)" + ")" * 16382)  # 16,384 leaves
+def _peak_rss_mb(argv, stdin=subprocess.DEVNULL):
+    """Exit code and peak RSS in MB of one cold CLI process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, str(path), *argv],
+        [sys.executable, "-c", _PEAK_RSS_PROBE, *argv],
+        stdin=stdin,
         capture_output=True,
         text=True,
         check=True,
@@ -433,8 +457,25 @@ def test_deep_tree_commands_stay_small(tmp_path, argv):
         timeout=300,
     )
     code, peak_kib = map(int, result.stdout.split())
+    return code, peak_kib / 1024
+
+
+@pytest.mark.parametrize("argv", [["rank"], ["export", "--format", "dot"]])
+def test_deep_tree_commands_stay_small(tmp_path, argv):
+    path = tmp_path / "caterpillar.txt"
+    path.write_text("(L" * 16382 + "(LL)" + ")" * 16382)  # 16,384 leaves
+    with open(path) as stdin:
+        code, peak_mb = _peak_rss_mb([*argv, "--file", "-"], stdin)
     assert code == 0
-    assert peak_kib / 1024 < 100  # MB
+    assert peak_mb < 100
+
+
+@pytest.mark.parametrize("argv", CENSUS_COUNTS)
+def test_census_counts_stay_small(argv):
+    # the 20- and 22-leaf shape tables alone would take about 84 and 378 MB
+    code, peak_mb = _peak_rss_mb(argv)
+    assert code == 0
+    assert peak_mb < 40
 
 
 def test_package_imports_only_the_standard_library():

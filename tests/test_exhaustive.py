@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from treesec import exhaustive
 from treesec import (
     GuardError,
     SizeError,
@@ -57,6 +59,40 @@ class TestShapeEnumeration:
     def test_counts_up_to_the_guard(self):
         for leaves in (21, 22):
             assert count_shapes(leaves) == wedderburn_etherington(leaves)
+
+
+class TestShapeClasses:
+    """The counting recurrence that the census reads, held to the
+    enumeration that ``verify`` still measures."""
+
+    @staticmethod
+    def _enumerated(leaves):
+        return Counter((rank, sec) for _, rank, sec in exhaustive._bshapes(leaves))
+
+    def test_recurrence_equals_the_enumeration(self):
+        for leaves in range(1, exhaustive.MAX_ENUM_LEAVES + 1):
+            assert exhaustive._shape_classes(leaves) == self._enumerated(leaves)
+
+    def test_enumerated_distribution_digest(self):
+        h = hashlib.sha256()
+        for leaves in range(1, 23):
+            for (rank, sec), count in sorted(self._enumerated(leaves).items()):
+                h.update(f"{leaves} {rank} {sec} {count}\n".encode())
+        assert h.hexdigest() == (
+            "7222ade403a60b626751715735523c35ada0139184193815f4ed1fb40f33c03f"
+        )
+
+    def test_counts_build_no_shape_table(self, monkeypatch):
+        def fail(leaves):
+            raise AssertionError(f"the {leaves}-leaf shape table was built")
+
+        monkeypatch.setattr(exhaustive, "_bshapes", fail)
+        tsv = census_tsv(census_table(exhaustive.MAX_CENSUS_LEAVES))
+        assert hashlib.sha256(tsv.encode()).hexdigest() == (
+            "0865136ceed82ffcb2d2623627adfe499f0182d011b9aaa4e3aad99c90f17d3a"
+        )
+        top = exhaustive.MAX_ENUM_LEAVES
+        assert count_shapes(top) == wedderburn_etherington(top)
 
 
 class TestBinaryPinned:
