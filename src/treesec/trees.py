@@ -161,7 +161,7 @@ def _from_parents_checked(parents):
         if p == -1 or p is None:
             parents[i] = -1
             roots += 1
-        elif not isinstance(p, int) or not 0 <= p < n or p == i:
+        elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n or p == i:
             raise GuardError(f"invalid parent {p!r} for vertex {i}")
     if roots != 1:
         raise GuardError(f"expected exactly one root, found {roots}")
@@ -221,11 +221,11 @@ def serialize(tree, canonical=False):
     if canonical:
         return _canonical(tree)[0].translate(_KEY_TEXT)
     out = []
-    stack = [(tree.root, False)]
+    stack = [tree.root]  # ~v closes vertex v
     ch = tree._child_lists()
     while stack:
-        v, closing = stack.pop()
-        if closing:
+        v = stack.pop()
+        if v < 0:
             out.append(")")
             continue
         kids = ch[v]
@@ -233,9 +233,8 @@ def serialize(tree, canonical=False):
             out.append("L")
         else:
             out.append("(")
-            stack.append((v, True))
-            for c in reversed(kids):
-                stack.append((c, False))
+            stack.append(~v)
+            stack += kids[::-1]
     return "".join(out)
 
 
@@ -254,12 +253,18 @@ def read_tree(text):
 
 
 def tree_from_json(obj):
-    """Build a tree from the ``{"children": [...]}`` JSON schema."""
+    """Build a tree from the ``{"children": [...]}`` JSON schema.
+
+    Vertices are numbered in preorder of the document, as in :func:`parse`.
+    The object must be a tree: a dict reached twice is read as two copies
+    of its subtree, and a cyclic object never returns.  Neither comes out
+    of ``json.loads``.
+    """
     parents = []
     stack = [(obj, -1)]
     while stack:
         node, par = stack.pop()
-        if not isinstance(node, dict) or set(node) != {"children"}:
+        if not isinstance(node, dict) or len(node) != 1 or "children" not in node:
             raise ParseError('each JSON vertex must be {"children": [...]}')
         kids = node["children"]
         if not isinstance(kids, list):
@@ -268,7 +273,7 @@ def tree_from_json(obj):
         parents.append(par)
         for kid in reversed(kids):
             stack.append((kid, idx))
-    return RootedTree(parents)
+    return RootedTree._make(parents, topo=True)
 
 
 def tree_to_json(tree):
@@ -362,10 +367,22 @@ def _canonical(tree):
     ch = tree._child_lists()
     key = [_LEAF_KEY] * len(tree)
     kids = list(ch)
+    # children are stored by increasing id, so a stable sort of the reversed
+    # list, or taking b first on a tie, puts the higher id first
     for v in reversed(tree._top_down_order()):
-        if ch[v]:
-            # children are stored by increasing id, and the sort is stable
-            kids[v] = ordered = sorted(reversed(ch[v]), key=key.__getitem__)
+        kv = ch[v]
+        if len(kv) == 2:
+            a, b = kv
+            ka = key[a]
+            kb = key[b]
+            if kb <= ka:
+                kids[v] = (b, a)
+                key[v] = f"{_OPEN_KEY}{kb}{ka}{_CLOSE_KEY}"
+            else:
+                key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
+            key[a] = key[b] = None
+        elif kv:
+            kids[v] = ordered = sorted(reversed(kv), key=key.__getitem__)
             key[v] = "".join([_OPEN_KEY, *map(key.__getitem__, ordered), _CLOSE_KEY])
             for c in ordered:
                 key[c] = None
@@ -445,25 +462,6 @@ def classify(tree):
     )
 
 
-def _complete_heights(tree):
-    """For every vertex: height of its subtree if that subtree is a complete
-    binary tree, else -1.  Requires a proper binary tree."""
-    n = len(tree)
-    ch = tree._child_lists()
-    h = [-1] * n
-    for v in reversed(tree._top_down_order()):
-        kids = ch[v]
-        if not kids:
-            h[v] = 0
-        elif len(kids) != 2:
-            raise GuardError("tree is not proper binary")
-        else:
-            a, b = kids
-            if h[a] >= 0 and h[a] == h[b]:
-                h[v] = h[a] + 1
-    return h
-
-
 def saturated_vertices(tree):
     """Vertices whose subtree is complete binary while no ancestor's subtree
     is, as (vertex id, exponent) pairs in vertex-id order.
@@ -472,13 +470,33 @@ def saturated_vertices(tree):
     are vertex-disjoint and their leaves partition the tree's leaves.
     Raises GuardError for non-proper-binary trees.
     """
-    h = _complete_heights(tree)
-    par = tree._parents
-    return [
-        (v, h[v])
-        for v in range(len(tree))
-        if h[v] >= 0 and (par[v] < 0 or h[par[v]] < 0)
-    ]
+    # h[v]: height of v's subtree if that subtree is complete, else -1;
+    # a complete child of an incomplete parent is saturated
+    ch = tree._child_lists()
+    h = [0] * len(tree)
+    found = []
+    for v in reversed(tree._top_down_order()):
+        kids = ch[v]
+        if not kids:
+            continue
+        if len(kids) != 2:
+            raise GuardError("tree is not proper binary")
+        a, b = kids
+        ha = h[a]
+        hb = h[b]
+        if ha == hb >= 0:
+            h[v] = ha + 1
+        else:
+            h[v] = -1
+            if ha >= 0:
+                found.append((a, ha))
+            if hb >= 0:
+                found.append((b, hb))
+    root = tree.root
+    if h[root] >= 0:
+        found.append((root, h[root]))
+    found.sort()
+    return found
 
 
 def partition_vector(tree):

@@ -13,6 +13,7 @@ from treesec import (
     RootedTree,
     all_ranks,
     build_binary_caterpillar,
+    build_power_spine,
     canonical_form,
     canonical_order,
     classify,
@@ -37,6 +38,7 @@ from oracles import (
 )
 
 FIG1 = "((L(LL))(L((LL)(LL))))"
+_VERTEX_SCHEMA = 'each JSON vertex must be {"children": [...]}'
 
 # grammar-valid general tree texts (internal vertices take 1..4 children)
 tree_texts = st.recursive(
@@ -133,6 +135,75 @@ class TestJson:
             tree_from_json({"children": "L"})
         with pytest.raises(ParseError):
             read_tree('{"children": [')
+        leaf = {"children": []}
+        for obj, message in [
+            ({"children": [], "x": 1}, _VERTEX_SCHEMA),
+            ({}, _VERTEX_SCHEMA),
+            ({"children": [1]}, _VERTEX_SCHEMA),
+            ({"children": [leaf, {"children": [leaf, {"kids": []}]}]}, _VERTEX_SCHEMA),
+            ([leaf], _VERTEX_SCHEMA),
+            (["children"], _VERTEX_SCHEMA),
+            ({"children": (leaf, leaf)}, '"children" must be a list'),
+        ]:
+            with pytest.raises(ParseError) as err:
+                tree_from_json(obj)
+            assert str(err.value) == message
+
+
+# sha256 over the plain text, the JSON document and the parent array read
+# back from that document for every corpus tree; half of the corpus has its
+# vertex ids permuted, so parents may follow their children
+IO_DIGEST = "ca4e0e560c84844704e7a36a5ba2df4a6f16f2c5bdcf689575c8610645e31845"
+# sha256 over saturated_vertices of every proper binary tree of that corpus
+SATURATED_DIGEST = "79bcd032b378a2ccb1a126b9dd8553dc27c2638ba6613aa4763e4494919732d2"
+
+
+def _relabelled(tree, rng):
+    """Isomorphic copy with its vertex ids permuted at random."""
+    perm = list(range(len(tree)))
+    rng.shuffle(perm)
+    parents = [-1] * len(tree)
+    for v in range(len(tree)):
+        p = tree.parent(v)
+        if p is not None:
+            parents[perm[v]] = perm[p]
+    return RootedTree(parents)
+
+
+def _io_corpus():
+    rng = random.Random(7)
+    corpus = [
+        shuffled_copy(t, rng) for n in range(1, 10) for t in enumerate_kary_trees(n)
+    ]
+    corpus += [random_general(rng.randint(1, 80), rng) for _ in range(300)]
+    corpus += [random_proper_binary(rng.randint(1, 40), rng) for _ in range(300)]
+    corpus += [build_binary_caterpillar(300), build_power_spine(1000)]
+    return corpus + [_relabelled(t, rng) for t in corpus]
+
+
+class TestIoPinned:
+    def test_text_and_json_are_pinned(self):
+        digest = hashlib.sha256()
+        corpus = _io_corpus()
+        for t in corpus:
+            doc = json.dumps(tree_to_json(t))
+            back = tree_from_json(json.loads(doc))._parents
+            digest.update(repr([serialize(t), doc, back]).encode())
+        assert len(corpus) == 2176
+        assert digest.hexdigest() == IO_DIGEST
+
+    def test_saturated_vertices_are_pinned(self):
+        digest = hashlib.sha256()
+        proper = [t for t in _io_corpus() if classify(t).is_proper_binary]
+        for t in proper:
+            digest.update(repr(saturated_vertices(t)).encode())
+        assert len(proper) == 630
+        assert digest.hexdigest() == SATURATED_DIGEST
+
+    def test_json_reads_preorder_like_parse(self):
+        for t in _io_corpus():
+            back = tree_from_json(tree_to_json(t))
+            assert back._parents == parse(serialize(t))._parents
 
 
 class TestRanks:
@@ -423,3 +494,9 @@ class TestArenaValidation:
     def test_none_is_a_root_marker(self):
         t = RootedTree([None, 0, 0])
         assert t.root == 0 and t.degree(0) == 2
+
+    def test_bool_parent_rejected(self):
+        with pytest.raises(GuardError, match="invalid parent False for vertex 1"):
+            RootedTree([-1, False, True, 1])
+        with pytest.raises(GuardError, match="invalid parent True for vertex 2"):
+            RootedTree([None, 0, True])
