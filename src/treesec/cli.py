@@ -169,8 +169,9 @@ def _cmd_verify(args, out):
         n, k = args.kary
         _require(n >= 1, "--kary order must be at least 1")
         _require(k >= 2, "--kary arity must be at least 2")
-        # the largest order of a proper k-ary tree up to n
-        exhaustive._kary_guard(n - (n - 1) % k, k)
+        # the orders of the proper k-ary trees up to n
+        kary_orders = range(1, n + 1, k)
+        exhaustive._kary_guard(kary_orders[-1], k)
     if args.starlike:
         n, k = args.starlike
         _require(k >= 1, "--starlike degree must be at least 1")
@@ -187,9 +188,7 @@ def _cmd_verify(args, out):
         out.write(f"OK: formula = oracle for ℓ=3..{args.max_leaves}\n")
     if args.kary:
         n, k = args.kary
-        for order in range(1, n + 1):
-            if (order - 1) % k != 0:
-                continue  # no proper k-ary tree of this order
+        for order in kary_orders:
             got = exhaustive.brute_force_max_root_rank(order, k=k, proper=True)
             want = formulas.max_root_rank_kary(order, k).value
             if got.max_root_rank != want or got.max_vertex_rank != want:

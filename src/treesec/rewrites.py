@@ -61,9 +61,12 @@ class SwitchContext:
     def for_pair(cls, tree, u, w):
         """Derive parents and siblings for the pair (u, w).
 
-        Raises GuardError if either vertex is the root or its parent does
-        not have exactly two children.
+        Raises GuardError if either vertex is out of range or the root, or
+        its parent does not have exactly two children.
         """
+        for v in (u, w):
+            if not 0 <= v < len(tree):
+                raise GuardError(f"vertex id {v} out of range")
         if u == w:
             raise GuardError("the two switched vertices must differ")
         u0, u1 = _parent_and_sibling(tree, u)
@@ -394,8 +397,8 @@ class _Arena:
     present, ``dup``: those present at least twice), plus the running
     security.  :meth:`rewire` repairs these along the root paths of
     the vertices whose children changed.  Like a :class:`RootedTree` it
-    exposes ``root``, ``parent`` and ``children``, so the switching and
-    hoist helpers run on it unchanged.
+    has a length and exposes ``root``, ``parent`` and ``children``, so the
+    switching and hoist helpers run on it unchanged.
     """
 
     def __init__(self, tree):
@@ -411,6 +414,9 @@ class _Arena:
         for v in reversed(tree._top_down_order()):
             self._measure(v)
         self.security = sum(self.rank)
+
+    def __len__(self):
+        return len(self.par)
 
     def parent(self, v):
         p = self.par[v]
@@ -434,7 +440,7 @@ class _Arena:
         ka, kb = key[a], key[b]
         if kb < ka:
             ka, kb = kb, ka
-        key[v] = _OPEN_KEY + ka + kb + _CLOSE_KEY
+        key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
         mask, dup = self.mask, self.dup
         if h[v] >= 0:
             mask[v], dup[v] = 1 << h[v], 0

@@ -56,7 +56,7 @@ class RootedTree:
     so any tree may be shared freely across threads.
     """
 
-    __slots__ = ("_parents", "_children", "_root", "_topo", "_leafcount")
+    __slots__ = ("_parents", "_children", "_root", "_topo")
 
     def __init__(self, parents):
         """Build a tree from a parent array, validating its shape.
@@ -64,24 +64,36 @@ class RootedTree:
         Raises GuardError unless there is exactly one root, every parent id
         is a valid vertex id, and every vertex is reachable from the root.
         """
-        tree = _from_parents_checked(list(parents))
-        self._parents = tree._parents
-        self._children = tree._children
-        self._root = tree._root
-        self._topo = tree._topo
-        self._leafcount = tree._leafcount
+        parents = list(parents)
+        n = len(parents)
+        if n == 0:
+            raise GuardError("a tree needs at least one vertex")
+        roots = 0
+        for i, p in enumerate(parents):
+            if p == -1 or p is None:
+                parents[i] = -1
+                roots += 1
+            elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n or p == i:
+                raise GuardError(f"invalid parent {p!r} for vertex {i}")
+        if roots != 1:
+            raise GuardError(f"expected exactly one root, found {roots}")
+        self._init(parents, all(parents[i] < i for i in range(n)))
+        if len(self._top_down_order()) != n:
+            raise GuardError("parent links contain a cycle or unreachable vertices")
 
     @classmethod
     def _make(cls, parents, topo=False):
         """Trusted constructor: no validation. ``topo`` promises that every
         parent id is smaller than its child ids."""
         self = object.__new__(cls)
+        self._init(parents, topo)
+        return self
+
+    def _init(self, parents, topo):
         self._parents = parents
         self._children = None
         self._root = parents.index(-1)
         self._topo = topo
-        self._leafcount = None
-        return self
 
     def __len__(self):
         return len(self._parents)
@@ -113,13 +125,8 @@ class RootedTree:
         return len(self._child_lists()[v])
 
     def leaf_count(self):
-        if self._leafcount is None:
-            has_child = bytearray(len(self._parents))
-            for p in self._parents:
-                if p >= 0:
-                    has_child[p] = 1
-            self._leafcount = len(self._parents) - sum(has_child)
-        return self._leafcount
+        # the distinct parent ids are the internal vertices and the -1 root mark
+        return len(self._parents) + 1 - len(set(self._parents))
 
     def _child_lists(self):
         # lazy, idempotent cache: a concurrent duplicate build is benign
@@ -150,30 +157,6 @@ class RootedTree:
             if p >= 0:
                 d[v] = d[p] + 1
         return d
-
-
-def _from_parents_checked(parents):
-    n = len(parents)
-    if n == 0:
-        raise GuardError("a tree needs at least one vertex")
-    roots = 0
-    for i, p in enumerate(parents):
-        if p == -1 or p is None:
-            parents[i] = -1
-            roots += 1
-        elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n or p == i:
-            raise GuardError(f"invalid parent {p!r} for vertex {i}")
-    if roots != 1:
-        raise GuardError(f"expected exactly one root, found {roots}")
-    tree = RootedTree._make(parents, topo=all(parents[i] < i for i in range(n)))
-    seen = 0
-    for _ in tree._top_down_order():
-        seen += 1
-        if seen > n:
-            break
-    if seen != n:
-        raise GuardError("parent links contain a cycle or unreachable vertices")
-    return tree
 
 
 def parse(text):
@@ -407,17 +390,10 @@ def canonical_order(tree):
 
 def canonical_form(tree):
     """An isomorphic copy whose vertices are numbered in canonical preorder
-    and whose children are stored in canonical order.  Idempotent."""
-    order = canonical_order(tree)
-    newid = [0] * len(tree)
-    for i, v in enumerate(order):
-        newid[v] = i
-    par = tree._parents
-    parents = [-1] * len(tree)
-    for i, v in enumerate(order):
-        p = par[v]
-        parents[i] = -1 if p < 0 else newid[p]
-    return RootedTree._make(parents, topo=True)
+    and whose children are stored in canonical order: the ids that
+    :func:`parse` gives the canonical text, as for the trees of
+    :func:`~treesec.exhaustive.enumerate_shapes`.  Idempotent."""
+    return parse(serialize(tree, canonical=True))
 
 
 def is_isomorphic(a, b):

@@ -236,6 +236,23 @@ class TestCommands:
         assert "OK: k-ary root rank = oracle for n=1..12, k=3" in out
         assert "OK: degree-3 root rank = oracle for n=4..9" in out
 
+    @pytest.mark.parametrize(
+        "n,k,orders",
+        [(12, 3, [1, 4, 7, 10]), (14, 2, [1, 3, 5, 7, 9, 11, 13]), (1, 5, [1])],
+    )
+    def test_verify_kary_checks_the_proper_orders(self, capsys, monkeypatch, n, k, orders):
+        seen = []
+        check = exhaustive.brute_force_max_root_rank
+
+        def spy(order, **kwargs):
+            seen.append(order)
+            return check(order, **kwargs)
+
+        monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", spy)
+        code, out, _ = run(capsys, "verify", "--kary", str(n), str(k))
+        assert code == 0 and seen == orders
+        assert out == f"OK: k-ary root rank = oracle for n=1..{n}, k={k}\n"
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", "--max-leaves", "7")
         assert code == 0
@@ -349,6 +366,15 @@ class TestExitCodes:
         monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "size guard" in err and out == ""
+
+    def test_verify_kary_guards_the_last_proper_order(self, capsys, monkeypatch):
+        # 15 is the last proper binary order up to 16, one over the guard of 14
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the order guard")
+
+        monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
+        code, out, err = run(capsys, "verify", "--kary", "16", "2")
+        assert code == 2 and "(14 for this arity)" in err and out == ""
 
     def test_deep_json_input_is_a_size_refusal(self, capsys, monkeypatch):
         deep = '{"children": [' * 5000 + '{"children": []}' + "]}" * 5000

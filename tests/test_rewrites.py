@@ -78,6 +78,15 @@ class TestSwitchContext:
         with pytest.raises(GuardError):
             SwitchContext.for_pair(t, t.root, 1)
 
+    @pytest.mark.parametrize("u,w", [(-1, 2), (2, -1), (99, 2), (2, 7), (-7, -7)])
+    def test_out_of_range_ids_rejected(self, u, w):
+        t = parse("((LL)(LL))")
+        bad = next(v for v in (u, w) if not 0 <= v < len(t))
+        for tree in (t, rewrites._Arena(t)):
+            with pytest.raises(GuardError) as err:
+                SwitchContext.for_pair(tree, u, w)
+            assert str(err.value) == f"vertex id {bad} out of range"
+
     def test_stale_context_rejected(self):
         t = parse("((L(LL))(L(LL)))")
         bad = SwitchContext(u=2, w=7, u0=1, w0=6, u1=4, w1=8)  # u1 is wrong

@@ -297,6 +297,19 @@ class TestCanonical:
         t = parse(text)
         assert is_isomorphic(canonical_form(t), t)
 
+    def test_canonical_form_renumbers_by_canonical_order(self):
+        # the new id of a vertex is its position in canonical_order
+        rng = random.Random(2718)
+        corpus = [random_general(rng.randrange(1, 80), rng) for _ in range(100)]
+        corpus += [shuffled_copy(random_proper_binary(40, rng), rng) for _ in range(50)]
+        for t in corpus:
+            order = canonical_order(t)
+            newid = {v: i for i, v in enumerate(order)}
+            want = [-1 if t.parent(v) is None else newid[t.parent(v)] for v in order]
+            form = canonical_form(t)
+            assert form._parents == want
+            assert serialize(form) == serialize(t, canonical=True)
+
 
 # sha256 over canonical_order, the canonical text and the canonical_form
 # parents of every corpus tree, plus the reroot_at_vertex parents at every
@@ -500,3 +513,37 @@ class TestArenaValidation:
             RootedTree([-1, False, True, 1])
         with pytest.raises(GuardError, match="invalid parent True for vertex 2"):
             RootedTree([None, 0, True])
+
+    @pytest.mark.parametrize(
+        "parents,message",
+        [
+            ([], "a tree needs at least one vertex"),
+            ([-1, -1], "expected exactly one root, found 2"),
+            ([1, 0], "expected exactly one root, found 0"),
+            ([-1, 1], "invalid parent 1 for vertex 1"),
+            ([-1, 0.0], "invalid parent 0.0 for vertex 1"),
+            ([-1, 5], "invalid parent 5 for vertex 1"),
+            ([-1, -2], "invalid parent -2 for vertex 1"),
+            ([-1, 2, 1], "parent links contain a cycle or unreachable vertices"),
+            ([2, 0, -1, 4, 3], "parent links contain a cycle or unreachable vertices"),
+        ],
+    )
+    def test_messages_are_pinned(self, parents, message):
+        with pytest.raises(GuardError) as err:
+            RootedTree(parents)
+        assert str(err.value) == message
+
+    def test_input_is_copied(self):
+        # the root mark is rewritten in the tree's copy, not in the caller's list
+        parents = [None, 0, 0]
+        t = RootedTree(parents)
+        assert parents == [None, 0, 0]
+        parents[1] = 2
+        assert t._parents == [-1, 0, 0] and t.children(0) == (1, 2)
+
+    def test_leaf_count_counts_childless_vertices(self):
+        rng = random.Random(1618)
+        for _ in range(40):
+            t = random_general(rng.randrange(1, 120), rng)
+            leaves = sum(1 for v in range(len(t)) if t.is_leaf(v))
+            assert t.leaf_count() == leaves == classify(t).leaf_count
