@@ -41,6 +41,12 @@ security and taking nothing from :mod:`treesec.formulas`.
 :func:`maximizer_shapes` read it.  :func:`brute_force_extremes` (which
 ``verify`` calls) and every function that yields shapes measure the
 enumerated table, so enumeration stays the oracle for the closed forms.
+
+No table outlives its call.  :func:`_bshapes`, :func:`_shape_classes` and
+:func:`_kshapes` build every level bottom-up into a local list, which is
+dropped with the call's result, and a streaming call keeps only its last
+level alive.  ``verify`` measures all its leaf counts on one build through
+:func:`_brute_force_rows`.
 """
 
 from collections import Counter
@@ -75,8 +81,6 @@ MAX_CENSUS_LEAVES = 20
 _HEX = f"0{3 * MAX_ENUM_LEAVES - 2}x"
 _BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
 _BOPEN = 2 * _BLEAF
-_blevels = {1: [(_BLEAF, 0, 0)]}
-_class_levels = {1: Counter({(0, 0): 1})}
 
 
 def _leaf_guard(leaves):
@@ -87,15 +91,16 @@ def _leaf_guard(leaves):
 
 
 def _bshapes(leaves):
+    """The proper binary shapes of 1..``leaves`` leaves, built bottom-up for
+    this call: ``levels[a]`` lists the a-leaf shapes in canonical order."""
     _leaf_guard(leaves)
-    out = _blevels.get(leaves)
-    if out is None:
+    levels = [None, [(_BLEAF, 0, 0)]]
+    for n in range(2, leaves + 1):
         out = []
         append = out.append
-        for a in range(1, leaves // 2 + 1):
-            small = _bshapes(a)
-            big = _bshapes(leaves - a)
-            shift_x, shift_y = 4 * (3 * a - 1), 4 * (3 * (leaves - a) - 1)
+        for a in range(1, n // 2 + 1):
+            small, big = levels[a], levels[n - a]
+            shift_x, shift_y = 4 * (3 * a - 1), 4 * (3 * (n - a) - 1)
             for i, (kx, rx, sx) in enumerate(small):
                 head = _BOPEN + (kx >> 4)
                 for ky, ry, sy in small[i:] if big is small else big:
@@ -106,8 +111,8 @@ def _bshapes(leaves):
                     else:
                         append((_BOPEN + (ky >> 4) + (kx >> shift_y), rank, sec))
         out.sort()
-        _blevels[leaves] = out
-    return out
+        levels.append(out)
+    return levels
 
 
 def _shape_texts(leaves, security=None):
@@ -115,7 +120,7 @@ def _shape_texts(leaves, security=None):
     in canonical order; with ``security`` set, only the shapes of that
     security."""
     cut = 3 * leaves - 2
-    for key, _, sec in _bshapes(leaves):
+    for key, _, sec in _bshapes(leaves)[leaves]:
         if security is None or sec == security:
             yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
 
@@ -132,28 +137,29 @@ def enumerate_shapes(leaves):
 
 
 def _shape_classes(leaves):
-    """``{(root rank, security): count}`` over the proper binary shapes on
-    ``leaves`` leaves, by the pairing recurrence alone."""
+    """``levels[a]`` is ``{(root rank, security): count}`` over the proper
+    binary shapes on a leaves, for a in 1..``leaves``, by the pairing
+    recurrence alone."""
     _leaf_guard(leaves)
-    out = _class_levels.get(leaves)
-    if out is None:
+    levels = [None, Counter({(0, 0): 1})]
+    for n in range(2, leaves + 1):
         out = Counter()
-        for a in range(1, leaves // 2 + 1):
-            small = list(_shape_classes(a).items())
-            big = small if 2 * a == leaves else list(_shape_classes(leaves - a).items())
+        for a in range(1, n // 2 + 1):
+            small = list(levels[a].items())
+            big = small if 2 * a == n else list(levels[n - a].items())
             for i, ((rx, sx), cx) in enumerate(small):
                 for j, ((ry, sy), cy) in enumerate(small[i:] if big is small else big):
                     rank = (rx if rx < ry else ry) + 1
                     # c shapes of one class make c(c+1)/2 unordered pairs
                     same = big is small and j == 0
                     out[rank, sx + sy + rank] += cx * (cx + 1) // 2 if same else cx * cy
-        _class_levels[leaves] = out
-    return out
+        levels.append(out)
+    return levels
 
 
 def count_shapes(leaves):
     """Number of non-isomorphic proper binary trees with ``leaves`` leaves."""
-    return sum(_shape_classes(leaves).values())
+    return sum(_shape_classes(leaves)[leaves].values())
 
 
 @dataclass(frozen=True)
@@ -181,16 +187,24 @@ def _census_row(leaves, by_security):
     )
 
 
+def _brute_force_rows(max_leaves):
+    """The brute-force census rows of 1..``max_leaves`` leaves, measured on
+    one build of the shape tables."""
+    for leaves, shapes in enumerate(_bshapes(max_leaves)[1:], 1):
+        yield _census_row(leaves, Counter(map(itemgetter(2), shapes)))
+
+
 def brute_force_extremes(leaves):
     """Measure every shape: the exact maximum security, how many shapes
     attain it, and the fraction of shapes that do."""
-    return _census_row(leaves, Counter(map(itemgetter(2), _bshapes(leaves))))
+    *_, row = _brute_force_rows(leaves)
+    return row
 
 
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
     order (streamed; nothing is materialized beyond the shape table)."""
-    best = max(sec for _, sec in _shape_classes(leaves))
+    best = max(sec for _, sec in _shape_classes(leaves)[leaves])
     for text in _shape_texts(leaves, best):
         yield parse(text)
 
@@ -202,9 +216,9 @@ def census_table(max_leaves):
     if max_leaves > MAX_CENSUS_LEAVES:
         raise SizeError(f"census guard is {MAX_CENSUS_LEAVES} leaves")
     rows = []
-    for leaves in range(1, max_leaves + 1):
+    for leaves, classes in enumerate(_shape_classes(max_leaves)[1:], 1):
         by_security = Counter()
-        for (_, sec), count in _shape_classes(leaves).items():
+        for (_, sec), count in classes.items():
             by_security[sec] += count
         rows.append(_census_row(leaves, by_security))
     return rows
@@ -240,7 +254,6 @@ def census_json(rows):
 
 
 _KLEAF = (_LEAF_KEY, 0, 0, True, 0)
-_klevels = {}
 
 
 def _kary_guard(n, k):
@@ -253,46 +266,46 @@ def _kary_guard(n, k):
         raise SizeError(f"order over enumeration guard ({limit} for this arity)")
 
 
-def _kid_multisets(total, cap, parts, k):
+def _kid_multisets(total, cap, parts, levels):
     """Multisets of at most ``parts`` child shapes, none of order above
-    ``cap``, whose orders sum to ``total``; each is a tuple of shapes."""
+    ``cap``, whose orders sum to ``total``; each is a tuple of shapes drawn
+    from ``levels[order]``."""
     if total == 0:
         yield ()
         return
     for size in range(min(cap, total), 0, -1):
         if size * parts < total:
             break  # the parts left cannot hold the rest
-        pool = _kshapes(size, k)
+        pool = levels[size]
         for copies in range(1, total // size + 1):
             left = total - size * copies
-            rests = list(_kid_multisets(left, size - 1, parts - copies, k))
+            rests = list(_kid_multisets(left, size - 1, parts - copies, levels))
             for picks in combinations_with_replacement(pool, copies):
                 for rest in rests:
                     yield picks + rest
 
 
 def _kshapes(n, k):
-    lst = _klevels.get((n, k))
-    if lst is None:
-        if n == 1:
-            lst = [_KLEAF]
-        else:
-            lst = []
-            for kids in _kid_multisets(n - 1, n - 1, k or n - 1, k):
-                kids = sorted(kids)
-                root_rank = 1 + min(s[1] for s in kids)
-                lst.append(
-                    (
-                        _OPEN_KEY + "".join(s[0] for s in kids) + _CLOSE_KEY,
-                        root_rank,
-                        max(root_rank, *(s[2] for s in kids)),
-                        len(kids) == k and all(s[3] for s in kids),
-                        len(kids),
-                    )
+    """The shapes of order ``n`` with outdegrees at most ``k``, in canonical
+    order, from the tables of orders 1..n built for this call."""
+    levels = [None, [_KLEAF]]
+    for order in range(2, n + 1):
+        level = []
+        for kids in _kid_multisets(order - 1, order - 1, k or order - 1, levels):
+            kids = sorted(kids)
+            root_rank = 1 + min(s[1] for s in kids)
+            level.append(
+                (
+                    _OPEN_KEY + "".join(s[0] for s in kids) + _CLOSE_KEY,
+                    root_rank,
+                    max(root_rank, *(s[2] for s in kids)),
+                    len(kids) == k and all(s[3] for s in kids),
+                    len(kids),
                 )
-            lst.sort()
-        _klevels[(n, k)] = lst
-    return lst
+            )
+        level.sort()
+        levels.append(level)
+    return levels[n]
 
 
 def _kary_class(n, k, root_degree, proper):

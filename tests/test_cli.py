@@ -342,9 +342,9 @@ class TestExitCodes:
 
     def test_verify_over_guard_refuses_before_any_work(self, capsys, monkeypatch):
         def fail(leaves):
-            raise AssertionError(f"census at {leaves} leaves ran before the guard")
+            raise AssertionError(f"{leaves}-leaf tables were built before the guard")
 
-        monkeypatch.setattr(exhaustive, "brute_force_extremes", fail)
+        monkeypatch.setattr(exhaustive, "_bshapes", fail)
         limit = exhaustive.MAX_ENUM_LEAVES
         code, out, err = run(capsys, "verify", "--max-leaves", str(limit + 1))
         assert code == 2 and "size guard" in err and out == ""
@@ -362,7 +362,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise AssertionError("a check ran before the order guard")
 
-        monkeypatch.setattr(exhaustive, "brute_force_extremes", fail)
+        monkeypatch.setattr(exhaustive, "_bshapes", fail)
         monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "size guard" in err and out == ""
@@ -430,6 +430,19 @@ class TestCensusPaths:
         monkeypatch.setattr(exhaustive, "_shape_classes", self._fail)
         code, out, _ = run(capsys, "verify", "--max-leaves", "20")
         assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
+
+    def test_verify_builds_the_binary_tables_once(self, capsys, monkeypatch):
+        calls = []
+        build = exhaustive._bshapes
+
+        def spy(leaves):
+            calls.append(leaves)
+            return build(leaves)
+
+        monkeypatch.setattr(exhaustive, "_bshapes", spy)
+        code, out, _ = run(capsys, "verify", "--max-leaves", "20")
+        assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
+        assert calls == [20]
 
 
 class TestPinnedOutputs:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -61,23 +62,53 @@ class TestShapeEnumeration:
             assert count_shapes(leaves) == wedderburn_etherington(leaves)
 
 
+class TestCallScopedTables:
+    """Every shape table lives for one call: nothing the call built stays
+    allocated once it returns."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: brute_force_extremes(18),
+            lambda: list(enumerate_kary_trees(11)),
+            lambda: census_table(20),
+        ],
+        ids=["brute_force_extremes", "enumerate_kary_trees", "census_table"],
+    )
+    def test_no_table_outlives_its_call(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
+
+
 class TestShapeClasses:
     """The counting recurrence that the census reads, held to the
     enumeration that ``verify`` still measures."""
 
-    @staticmethod
-    def _enumerated(leaves):
-        return Counter((rank, sec) for _, rank, sec in exhaustive._bshapes(leaves))
+    @pytest.fixture(scope="class")
+    def enumerated(self):
+        """``{(rank, security): count}`` of every leaf count to the guard,
+        from one build of the shape tables; the tables themselves are
+        dropped on return."""
+        levels = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
+        return [None] + [
+            Counter((rank, sec) for _, rank, sec in level) for level in levels[1:]
+        ]
 
-    def test_recurrence_equals_the_enumeration(self):
-        for leaves in range(1, exhaustive.MAX_ENUM_LEAVES + 1):
-            assert exhaustive._shape_classes(leaves) == self._enumerated(leaves)
+    def test_recurrence_equals_the_enumeration(self, enumerated):
+        top = exhaustive.MAX_ENUM_LEAVES
+        assert exhaustive._shape_classes(top) == enumerated
 
-    def test_enumerated_distribution_digest(self):
+    def test_enumerated_distribution_digest(self, enumerated):
         h = hashlib.sha256()
-        for leaves in range(1, 23):
-            for (rank, sec), count in sorted(self._enumerated(leaves).items()):
+        for leaves, classes in enumerate(enumerated[1:], 1):
+            for (rank, sec), count in sorted(classes.items()):
                 h.update(f"{leaves} {rank} {sec} {count}\n".encode())
+        assert leaves == 22
         assert h.hexdigest() == (
             "7222ade403a60b626751715735523c35ada0139184193815f4ed1fb40f33c03f"
         )
