@@ -62,7 +62,7 @@ def build_complete_binary(height):
         raise SizeError(f"height over guard ({MAX_COMPLETE_HEIGHT})")
     parents = []
     _extend_complete(parents, -1, height)
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def _spine_parents(blocks):
@@ -100,7 +100,7 @@ def build_power_spine(leaves):
     rep = binary_power_representation(leaves)
     if leaves > MAX_LEAVES:
         raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
-    return RootedTree._make(_spine_parents(rep), topo=True)
+    return RootedTree._make(_spine_parents(rep))
 
 
 def build_almost_complete(leaves):
@@ -123,7 +123,7 @@ def build_almost_complete(leaves):
     if extra:
         run = range(first_leaf, first_leaf + extra)
         parents.extend(chain.from_iterable(zip(run, run)))
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def build_almost_complete_stepwise(leaves):
@@ -143,7 +143,7 @@ def build_almost_complete_stepwise(leaves):
     parents = []
     _extend_complete(parents, -1, rep[0])
     if len(rep) == 1:
-        return RootedTree._make(parents, topo=True)
+        return RootedTree._make(parents)
     # children in construction order; child lists stay [left, right]
     kids = [[] for _ in parents]
     for v, p in enumerate(parents):
@@ -172,7 +172,7 @@ def build_almost_complete_stepwise(leaves):
                 kids.append([])
                 kids[v].append(len(parents) - 1)
         q = q_next
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def build_binary_caterpillar(leaves):
@@ -190,7 +190,7 @@ def build_binary_caterpillar(leaves):
         cur = len(parents) - 1
     parents.append(cur)
     parents.append(cur)
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def build_starlike(arms):
@@ -212,7 +212,7 @@ def build_starlike(arms):
         for _ in range(a):
             parents.append(prev)
             prev = len(parents) - 1
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def build_complete_kary(order, k):
@@ -232,4 +232,4 @@ def build_complete_kary(order, k):
     full = (order - 1) // k
     parents.extend(chain.from_iterable(zip(*[range(full)] * k)))
     parents.extend([full] * ((order - 1) % k))
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)

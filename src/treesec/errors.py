@@ -5,6 +5,8 @@ Three failure categories map onto the CLI exit codes: malformed tree text
 oversized requests (SizeError).
 """
 
+__all__ = ["TreesecError", "ParseError", "GuardError", "SizeError"]
+
 
 class TreesecError(ValueError):
     """Base class for all errors raised by this package."""

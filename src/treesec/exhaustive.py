@@ -4,9 +4,11 @@ This module is the independent check on every closed form in
 :mod:`treesec.formulas`: it enumerates all non-isomorphic shapes at desk
 scale and measures them directly.  Shapes are generated by unordered
 pairing (proper binary) or by multiset composition of child subtrees
-(bounded-outdegree), deduplicated at generation time by construction, and
-streamed in canonical order.  Generation is sequential; the merge order is
-deterministic for fixed inputs.
+(bounded-outdegree) and deduplicated at generation time by construction.
+Every level is built in generation order, which nothing reads: pairing and
+composition draw each unordered choice of children once whatever the order
+of a level, and the measurements only count and take maxima.  Canonical
+order is applied where shapes are output, by one sort of the output level.
 
 A shape's key is its canonical text, so trees come from
 :func:`treesec.trees.parse` alone and the canonical ids are parse's
@@ -37,10 +39,11 @@ gives c(c + 1) / 2.  A pair's rank is one more than its smaller child's,
 and its security is the children's sum plus that rank.  This is the
 Wedderburn-Etherington pairing refined by two statistics, keyed on raw
 security and taking nothing from :mod:`treesec.formulas`.
-:func:`count_shapes`, :func:`census_table` and the best security of
-:func:`maximizer_shapes` read it.  :func:`brute_force_extremes` (which
-``verify`` calls) and every function that yields shapes measure the
-enumerated table, so enumeration stays the oracle for the closed forms.
+:func:`count_shapes` and :func:`census_table` read it.
+:func:`brute_force_extremes` (which ``verify`` calls) and every function
+that yields shapes measure the enumerated table, and
+:func:`maximizer_shapes` takes the best security from the level it yields,
+so enumeration stays the oracle for the closed forms and the recurrence.
 
 No table outlives its call.  :func:`_bshapes`, :func:`_shape_classes` and
 :func:`_kshapes` build every level bottom-up into a local list, which is
@@ -92,7 +95,7 @@ def _leaf_guard(leaves):
 
 def _bshapes(leaves):
     """The proper binary shapes of 1..``leaves`` leaves, built bottom-up for
-    this call: ``levels[a]`` lists the a-leaf shapes in canonical order."""
+    this call: ``levels[a]`` lists the a-leaf shapes in generation order."""
     _leaf_guard(leaves)
     levels = [None, [(_BLEAF, 0, 0)]]
     for n in range(2, leaves + 1):
@@ -110,19 +113,23 @@ def _bshapes(leaves):
                         append((head + (ky >> shift_x), rank, sec))
                     else:
                         append((_BOPEN + (ky >> 4) + (kx >> shift_y), rank, sec))
-        out.sort()
         levels.append(out)
     return levels
 
 
-def _shape_texts(leaves, security=None):
-    """The canonical texts of the proper binary shapes on ``leaves`` leaves,
-    in canonical order; with ``security`` set, only the shapes of that
-    security."""
+def _texts(shapes, leaves):
+    """The canonical texts of ``shapes`` on ``leaves`` leaves, in canonical
+    order (the list is sorted in place)."""
+    shapes.sort()
     cut = 3 * leaves - 2
-    for key, _, sec in _bshapes(leaves)[leaves]:
-        if security is None or sec == security:
-            yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
+    for key, _, _ in shapes:
+        yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
+
+
+def _shape_texts(leaves):
+    """The canonical texts of the proper binary shapes on ``leaves`` leaves,
+    in canonical order."""
+    return _texts(_bshapes(leaves)[leaves], leaves)
 
 
 def enumerate_shapes(leaves):
@@ -203,9 +210,11 @@ def brute_force_extremes(leaves):
 
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
-    order (streamed; nothing is materialized beyond the shape table)."""
-    best = max(sec for _, sec in _shape_classes(leaves)[leaves])
-    for text in _shape_texts(leaves, best):
+    order (streamed; nothing is materialized beyond the shape table).  The
+    best security is measured on the same enumerated level."""
+    level = _bshapes(leaves)[leaves]
+    best = max(map(itemgetter(2), level))
+    for text in _texts([s for s in level if s[2] == best], leaves):
         yield parse(text)
 
 
@@ -287,7 +296,8 @@ def _kid_multisets(total, cap, parts, levels):
 
 def _kshapes(n, k):
     """The shapes of order ``n`` with outdegrees at most ``k``, in canonical
-    order, from the tables of orders 1..n built for this call."""
+    order, from the tables of orders 1..n built for this call in generation
+    order."""
     levels = [None, [_KLEAF]]
     for order in range(2, n + 1):
         level = []
@@ -303,8 +313,8 @@ def _kshapes(n, k):
                     len(kids),
                 )
             )
-        level.sort()
         levels.append(level)
+    levels[n].sort()
     return levels[n]
 
 

@@ -8,6 +8,9 @@ reach the maximal power-spine shape.  :func:`flip_adjacent` produces a
 different maximizer of exactly equal security, and
 :func:`reroot_at_vertex` realizes the root-rank rerooting arguments.
 
+Every switching and hoist step measures security on both sides and raises
+GuardError rather than return a tree of lower security.
+
 All rewrites return new trees; inputs are never mutated.  Vertex ids are
 preserved by every switching/hoist rewrite, so the edge pairs recorded in a
 :class:`RewriteTrace` refer to the input tree's ids throughout.
@@ -28,6 +31,7 @@ from .trees import (
     all_ranks,
     is_isomorphic,
     saturated_vertices,
+    security,
 )
 
 __all__ = [
@@ -134,6 +138,12 @@ def _splice(par, root, removed, added):
     return root
 
 
+def _refuse_loss(rule, before, after):
+    """Refuse a step of ``rule`` that lowered security."""
+    if after < before:
+        raise GuardError(f"{rule} lowered security from {before} to {after}")
+
+
 def _rewire(tree, removed, added):
     """Apply edge surgery, keeping vertex ids, and validate the result."""
     par = list(tree._parents)
@@ -232,12 +242,15 @@ def _rule_edges(rule, tree, ctx, ranks):
 
 
 def _apply_rule(rule, tree, ctx):
-    """Check the context and the rule's guard, then apply its surgery."""
+    """Check the context and the rule's guard, apply its surgery, and check
+    that security did not go down."""
     ranks = _check_context(tree, ctx)
     refusal = _refusal(rule, tree, ctx, ranks, _nesting(tree, ctx))
     if refusal is not None:
         raise GuardError(refusal)
-    return _rewire(tree, *_rule_edges(rule, tree, ctx, ranks))
+    out = _rewire(tree, *_rule_edges(rule, tree, ctx, ranks))
+    _refuse_loss(rule, sum(ranks), security(out))
+    return out
 
 
 def switch_disjoint(tree, ctx):
@@ -321,12 +334,15 @@ def hoist_min_saturated(tree):
     parent's old position).  Fixed point: the power-spine shape itself.
     Security never decreases.
 
-    Raises GuardError when the partition vector has repeated exponents.
+    Raises GuardError when the partition vector has repeated exponents, or
+    if the step would lower security.
     """
     edges = _hoist_edges(tree, saturated_vertices(tree))
     if edges is None:
         return tree
-    return _rewire(tree, *edges)
+    out = _rewire(tree, *edges)
+    _refuse_loss("hoist_min_saturated", security(tree), security(out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -542,8 +558,7 @@ def normalize_to_power_spine(tree):
         before = arena.security
         arena.rewire(removed, added)
         after = arena.security
-        if after < before:
-            raise GuardError(f"{rule} lowered security from {before} to {after}")
+        _refuse_loss(rule, before, after)
         steps.append(RewriteStep(rule, tuple(removed), tuple(added), before, after))
         if len(steps) > step_guard:
             raise GuardError("rewrite did not terminate within the step guard")
@@ -596,7 +611,7 @@ def flip_adjacent(tree, i, variant):
         blocks[i - 1], blocks[i] = rep[i], rep[i - 1]
     else:
         blocks[i - 1 : i + 1] = [(rep[i - 1], rep[i])]
-    return RootedTree._make(_spine_parents(blocks), topo=True)
+    return RootedTree._make(_spine_parents(blocks))
 
 
 def _deepest_canonical_leaf(tree, v):

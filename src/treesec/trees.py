@@ -82,11 +82,12 @@ class RootedTree:
             raise GuardError("parent links contain a cycle or unreachable vertices")
 
     @classmethod
-    def _make(cls, parents, topo=False):
-        """Trusted constructor: no validation. ``topo`` promises that every
-        parent id is smaller than its child ids."""
+    def _make(cls, parents):
+        """Trusted constructor: no validation.  The caller promises a valid
+        parent array in which every parent id is smaller than its child
+        ids."""
         self = object.__new__(cls)
-        self._init(parents, topo)
+        self._init(parents, True)
         return self
 
     def _init(self, parents, topo):
@@ -192,7 +193,7 @@ def parse(text):
     rest = text[i + 1 :].lstrip(string.whitespace)
     if rest:
         raise ParseError("trailing content after the tree", len(text) - len(rest))
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def serialize(tree, canonical=False):
@@ -256,7 +257,7 @@ def tree_from_json(obj):
         parents.append(par)
         for kid in reversed(kids):
             stack.append((kid, idx))
-    return RootedTree._make(parents, topo=True)
+    return RootedTree._make(parents)
 
 
 def tree_to_json(tree):

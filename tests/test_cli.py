@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -534,6 +535,21 @@ def test_package_imports_only_the_standard_library():
     imported = set(result.stdout.split())
     assert "treesec" in imported
     assert imported - {"treesec"} <= sys.stdlib_module_names
+
+
+def test_package_exports_the_union_of_the_modules_public_names():
+    import treesec
+    from treesec import builders, errors, formulas, rewrites, trees
+
+    modules = (builders, errors, exhaustive, formulas, rewrites, trees)
+    declared = {name for module in modules for name in module.__all__}
+    public = {
+        name
+        for name, value in vars(treesec).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == declared
+    assert "MAX_ENUM_LEAVES" in public
 
 
 def test_module_entry_point_runs_without_warnings():

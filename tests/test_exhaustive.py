@@ -24,6 +24,7 @@ from treesec import (
     flip_adjacent,
     max_security,
     maximizer_shapes,
+    security,
     serialize,
 )
 from treesec.builders import binary_power_representation
@@ -171,6 +172,18 @@ class TestSecurityCensus:
         c = brute_force_extremes(8)
         assert c.max_security == 11 == complete_binary_security(3)
         assert (c.total_shapes, c.maximizer_count) == (23, 1)
+
+    def test_maximizers_are_measured_on_the_enumeration(self, monkeypatch):
+        def fail(leaves):
+            raise AssertionError("the counting recurrence ran")
+
+        monkeypatch.setattr(exhaustive, "_shape_classes", fail)
+        for leaves in range(1, 17):
+            best = max_security(leaves)
+            expected = [
+                serialize(t) for t in enumerate_shapes(leaves) if security(t) == best
+            ]
+            assert [serialize(t) for t in maximizer_shapes(leaves)] == expected
 
     def test_extremal_constructions_are_maximizers(self):
         for leaves in range(1, 17):

@@ -170,6 +170,17 @@ class TestSwitchDisjoint:
         out = _rewire(t, *_switch_edges(ctx))
         assert serialize(out) == serialize(t)
 
+    def test_a_switch_that_lowers_security_is_refused(self, monkeypatch):
+        # turn ((L(LL))(L(LL))) (security 6) into ((L(L(L(LL))))L) (security 5)
+        t = parse("((L(LL))(L(LL)))")
+        ctx = SwitchContext.for_pair(t, 2, 7)
+        lowering = (((3, 4), (0, 6)), ((3, 6), (0, 4)))
+        monkeypatch.setattr(rewrites, "_switch_edges", lambda ctx: lowering)
+        with pytest.raises(
+            GuardError, match="switch_disjoint lowered security from 6 to 5"
+        ):
+            switch_disjoint(t, ctx)
+
 
 class TestSwitchNestedHighSibling:
     def test_caterpillar_to_complete(self):
@@ -314,6 +325,15 @@ class TestHoist:
                     seen = security(nxt)
                     t = nxt
                 assert serialize(t, canonical=True) == target
+
+    def test_a_hoist_that_lowers_security_is_refused(self, monkeypatch):
+        # turn ((LL)(LL)) (security 4) into (L(L(LL))) (security 3)
+        lowering = (((0, 1), (4, 5)), ((0, 5), (4, 1)))
+        monkeypatch.setattr(rewrites, "_hoist_edges", lambda tree, sat: lowering)
+        with pytest.raises(
+            GuardError, match="hoist_min_saturated lowered security from 4 to 3"
+        ):
+            hoist_min_saturated(parse("((LL)(LL))"))
 
 
 class TestNormalize:
