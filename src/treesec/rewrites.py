@@ -90,11 +90,12 @@ def _parent_and_sibling(tree, v):
 
 
 def _is_strict_ancestor(tree, a, b):
-    v = tree.parent(b)
-    while v is not None:
+    par = tree._parents
+    v = par[b]
+    while v >= 0:
         if v == a:
             return True
-        v = tree.parent(v)
+        v = par[v]
     return False
 
 
@@ -411,96 +412,103 @@ class _Arena:
     binary), the canonical collation key of the subtree and two bitmasks of
     the exponents of the saturated vertices in the subtree (``mask``: those
     present, ``dup``: those present at least twice), plus the running
-    security.  :meth:`rewire` repairs these along the root paths of
-    the vertices whose children changed.  Like a :class:`RootedTree` it
-    has a length and exposes ``root``, ``parent`` and ``children``, so the
+    security.  :meth:`rewire` measures the union of the root paths of the
+    vertices whose children changed, each vertex once and in walk order,
+    and :meth:`saturated` compares sibling keys only where both children
+    hold a wanted exponent.  Like a :class:`RootedTree` it has a length and
+    exposes ``_parents``, ``root``, ``parent`` and ``children``, so the
     switching and hoist helpers run on it unchanged.
     """
 
     def __init__(self, tree):
         n = len(tree)
         self.root = tree.root
-        self.par = list(tree._parents)
+        self._parents = list(tree._parents)
         self.kids = [list(k) for k in tree._child_lists()]
         self.rank = [0] * n
         self.h = [0] * n
         self.key = [_LEAF_KEY] * n
         self.mask = [1] * n
         self.dup = [0] * n
-        for v in reversed(tree._top_down_order()):
-            self._measure(v)
-        self.security = sum(self.rank)
+        self.security = 0
+        self._measure(reversed(tree._top_down_order()))
 
     def __len__(self):
-        return len(self.par)
+        return len(self._parents)
 
     def parent(self, v):
-        p = self.par[v]
+        p = self._parents[v]
         return None if p < 0 else p
 
     def children(self, v):
         return self.kids[v]
 
-    def _measure(self, v):
-        kids = self.kids[v]
-        if not kids:
-            self.rank[v], self.h[v], self.key[v] = 0, 0, _LEAF_KEY
-            self.mask[v], self.dup[v] = 1, 0
-            return
-        if len(kids) != 2:
-            raise GuardError("tree is not proper binary")
-        a, b = kids
-        rank, h, key = self.rank, self.h, self.key
-        rank[v] = 1 + min(rank[a], rank[b])
-        h[v] = h[a] + 1 if h[a] >= 0 and h[a] == h[b] else -1
-        ka, kb = key[a], key[b]
-        if kb < ka:
-            ka, kb = kb, ka
-        key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
+    def _measure(self, order):
+        """Recompute the measures of the vertices in ``order``, which lists
+        every vertex after its children, and update the running security."""
+        kids, rank, h, key = self.kids, self.rank, self.h, self.key
         mask, dup = self.mask, self.dup
-        if h[v] >= 0:
-            mask[v], dup[v] = 1 << h[v], 0
-        else:
-            mask[v] = mask[a] | mask[b]
-            dup[v] = dup[a] | dup[b] | (mask[a] & mask[b])
+        gain = 0
+        for v in order:
+            k = kids[v]
+            if len(k) == 2:
+                a, b = k
+                ra, rb = rank[a], rank[b]
+                r = (ra if ra < rb else rb) + 1
+                ha = h[a]
+                if ha >= 0 and ha == h[b]:
+                    h[v], mask[v], dup[v] = ha + 1, 2 << ha, 0
+                else:
+                    h[v] = -1
+                    ma, mb = mask[a], mask[b]
+                    mask[v] = ma | mb
+                    dup[v] = dup[a] | dup[b] | (ma & mb)
+                ka, kb = key[a], key[b]
+                if kb < ka:
+                    ka, kb = kb, ka
+                key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
+            elif k:
+                raise GuardError("tree is not proper binary")
+            else:
+                r = h[v] = dup[v] = 0
+                key[v], mask[v] = _LEAF_KEY, 1
+            gain += r - rank[v]
+            rank[v] = r
+        self.security += gain
 
     def rewire(self, removed, added):
         """Apply edge surgery in place, checked as by :func:`_rewire`, then
         repair the measures along the changed root paths."""
-        par, kids = self.par, self.kids
+        par, kids = self._parents, self.kids
         self.root = _splice(par, self.root, removed, added)
         for p, c in removed:
             kids[p].remove(c)
         for p, c in added:
             kids[p].append(c)
-        # Only the subtrees of ancestors of a changed child list can change.
-        # The tree was acyclic before, so any cycle passes through a new
-        # edge and hence through one of these parents: a walk from each
-        # that does not reach the root within n vertices finds it.
-        depth = {}
-        n = len(par)
+        # Only the ancestors of a changed child list change.  Each walk
+        # climbs from a changed parent to the root or to an earlier walk, so
+        # measuring the walks last-first measures every vertex once, after
+        # its children.  The tree was acyclic, so a new cycle passes through
+        # a new edge, hence through one of these parents: the first walk to
+        # enter it comes back to a vertex of its own.
+        seen = set()
+        order = []
         for v in {p for p, _ in removed} | {p for p, _ in added}:
-            path = []
-            while v >= 0 and v not in depth:
-                path.append(v)
-                if len(path) > n:
-                    raise GuardError(
-                        "parent links contain a cycle or unreachable vertices"
-                    )
+            walk = []
+            while v >= 0 and v not in seen:
+                seen.add(v)
+                walk.append(v)
                 v = par[v]
-            d = depth[v] if v >= 0 else -1
-            for u in reversed(path):
-                d += 1
-                depth[u] = d
-        rank = self.rank
-        for v in sorted(depth, key=depth.__getitem__, reverse=True):
-            before = rank[v]
-            self._measure(v)
-            self.security += rank[v] - before
+            if v >= 0 and v in walk:
+                raise GuardError(
+                    "parent links contain a cycle or unreachable vertices"
+                )
+            order = walk + order
+        self._measure(order)
 
     def is_saturated(self, v, m):
         """True iff v roots a maximal complete subtree with 2**m leaves."""
-        p = self.par[v]
+        p = self._parents[v]
         return self.h[v] == m and (p < 0 or self.h[p] < 0)
 
     def saturated(self, m=None):
@@ -513,20 +521,23 @@ class _Arena:
         """
         h, key, kids, mask = self.h, self.key, self.kids, self.mask
         want = -1 if m is None else 1 << m
-        stack = [self.root]
+        stack = [self.root] if mask[self.root] & want else []
         while stack:
             v = stack.pop()
-            if not mask[v] & want:
-                continue
             if h[v] >= 0:
                 yield v, h[v]
                 continue
             a, b = kids[v]
-            ka, kb = key[a], key[b]
-            if ka > kb or (ka == kb and a < b):
-                a, b = b, a
-            stack.append(b)
-            stack.append(a)
+            if not mask[a] & want:
+                stack.append(b)
+            elif not mask[b] & want:
+                stack.append(a)
+            else:
+                ka, kb = key[a], key[b]
+                if ka > kb or (ka == kb and a < b):
+                    a, b = b, a
+                stack.append(b)
+                stack.append(a)
 
 
 def normalize_to_power_spine(tree):
@@ -542,10 +553,11 @@ def normalize_to_power_spine(tree):
 
     The rewrites run on a private mutable copy of the tree.  Each step
     checks its surgery and repairs ranks, complete heights, canonical keys
-    and exponent bitmasks on the O(depth) vertices of the changed root paths
-    (rebuilding a key copies the keys of its two children), and each merge
-    group finds its two vertices in O(depth); the result is validated once
-    at the end.
+    and exponent bitmasks in one pass over the union of the changed root
+    paths, O(depth) vertices each measured once in walk order (rebuilding a
+    key copies the keys of its two children), and each merge group finds
+    its two vertices in O(depth), comparing keys only where both children
+    hold the wanted exponent; the result is validated once at the end.
     Raises GuardError if no switching rule accepts a pair, a step would
     lower security or the steps exceed a guard quadratic in the tree's
     order.
@@ -578,7 +590,7 @@ def normalize_to_power_spine(tree):
             break
         apply("hoist_min_saturated", *edges)
 
-    result = RootedTree(arena.par) if steps else tree
+    result = RootedTree(arena._parents) if steps else tree
     return result, RewriteTrace(tuple(steps))
 
 

@@ -7,6 +7,7 @@ import pytest
 from treesec import (
     GuardError,
     RewriteTrace,
+    RootedTree,
     SwitchContext,
     all_ranks,
     build_power_spine,
@@ -490,6 +491,37 @@ class TestNormalizePinned:
                 replayed = _rewire(replayed, step.edges_removed, step.edges_added)
                 assert security(replayed) == step.security_after
             assert replayed._parents == out._parents
+
+
+class TestArena:
+    """The normalizer's mutable arena: its surgery check and its repair."""
+
+    def test_cyclic_surgery_is_refused(self):
+        arena = rewrites._Arena(parse("(((LL)L)L)"))
+        assert arena._parents == [-1, 0, 1, 2, 2, 1, 0]
+        # every outdegree is kept, but 1 and 2 become each other's parent
+        with pytest.raises(GuardError, match="cycle or unreachable"):
+            arena.rewire(((0, 1), (2, 3)), ((2, 1), (0, 3)))
+
+    def test_repair_matches_a_fresh_arena_after_every_step(self, monkeypatch):
+        fields = ("rank", "h", "key", "mask", "dup", "root", "security")
+        rewire = rewrites._Arena.rewire
+        seen = {"three_edge": 0, "new_root": 0}
+
+        def checked_rewire(arena, removed, added):
+            root = arena.root
+            rewire(arena, removed, added)
+            fresh = rewrites._Arena(RootedTree(arena._parents))
+            for name in fields:
+                assert getattr(arena, name) == getattr(fresh, name), name
+            seen["three_edge"] += len(removed) == 3
+            seen["new_root"] += arena.root != root
+
+        monkeypatch.setattr(rewrites._Arena, "rewire", checked_rewire)
+        shapes = [t for leaves in range(7, 11) for t in enumerate_shapes(leaves)]
+        for tree in shapes + _seeded_random_trees(20, 300, seed=0xA7E):
+            normalize_to_power_spine(tree)
+        assert seen["three_edge"] and seen["new_root"]
 
 
 # sha256 over every accepted flip of the power spines on 1..299 leaves
