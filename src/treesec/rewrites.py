@@ -8,8 +8,10 @@ reach the maximal power-spine shape.  :func:`flip_adjacent` produces a
 different maximizer of exactly equal security, and
 :func:`reroot_at_vertex` realizes the root-rank rerooting arguments.
 
-Every switching and hoist step measures security on both sides and raises
-GuardError rather than return a tree of lower security.
+Every switching and hoist step runs on one private arena that keeps the
+children in canonical order and the measures up to date; it measures
+security on both sides and raises GuardError rather than return a tree of
+lower security.
 
 All rewrites return new trees; inputs are never mutated.  Vertex ids are
 preserved by every switching/hoist rewrite, so the edge pairs recorded in a
@@ -22,17 +24,7 @@ from itertools import islice
 
 from .builders import _spine_parents, binary_power_representation, build_power_spine
 from .errors import GuardError
-from .trees import (
-    _CLOSE_KEY,
-    _LEAF_KEY,
-    _OPEN_KEY,
-    RootedTree,
-    _canonical,
-    all_ranks,
-    is_isomorphic,
-    saturated_vertices,
-    security,
-)
+from .trees import RootedTree, _canonical, is_isomorphic
 
 __all__ = [
     "SwitchContext",
@@ -99,25 +91,6 @@ def _is_strict_ancestor(tree, a, b):
     return False
 
 
-def _check_context(tree, ctx):
-    """Validate a context against the tree: links consistent, both vertices
-    saturated, ranks equal.  Returns the rank table."""
-    n = len(tree)
-    for v in (ctx.u, ctx.w, ctx.u0, ctx.w0, ctx.u1, ctx.w1):
-        if not 0 <= v < n:
-            raise GuardError(f"vertex id {v} out of range")
-    derived = SwitchContext.for_pair(tree, ctx.u, ctx.w)
-    if derived != ctx:
-        raise GuardError("context does not match the tree's parent/sibling links")
-    sat = dict(saturated_vertices(tree))
-    if ctx.u not in sat or ctx.w not in sat:
-        raise GuardError("both switched vertices must be saturated")
-    ranks = all_ranks(tree)
-    if ranks[ctx.u] != ranks[ctx.w]:
-        raise GuardError("switched vertices must have equal rank")
-    return ranks
-
-
 def _splice(par, root, removed, added):
     """Apply edge surgery to the parent array of a tree with the given root,
     in place.  Edges are (parent, child) pairs; after all removals and
@@ -137,12 +110,6 @@ def _splice(par, root, removed, added):
     (root,) = roots
     par[root] = -1
     return root
-
-
-def _refuse_loss(rule, before, after):
-    """Refuse a step of ``rule`` that lowered security."""
-    if after < before:
-        raise GuardError(f"{rule} lowered security from {before} to {after}")
 
 
 def _rewire(tree, removed, added):
@@ -243,15 +210,25 @@ def _rule_edges(rule, tree, ctx, ranks):
 
 
 def _apply_rule(rule, tree, ctx):
-    """Check the context and the rule's guard, apply its surgery, and check
-    that security did not go down."""
-    ranks = _check_context(tree, ctx)
-    refusal = _refusal(rule, tree, ctx, ranks, _nesting(tree, ctx))
+    """Check the context against the tree and the rule's guard, then apply
+    its surgery through :func:`_step`."""
+    n = len(tree)
+    for v in (ctx.u, ctx.w, ctx.u0, ctx.w0, ctx.u1, ctx.w1):
+        if not 0 <= v < n:
+            raise GuardError(f"vertex id {v} out of range")
+    if SwitchContext.for_pair(tree, ctx.u, ctx.w) != ctx:
+        raise GuardError("context does not match the tree's parent/sibling links")
+    arena = _Arena(tree)
+    if not (arena.is_saturated(ctx.u) and arena.is_saturated(ctx.w)):
+        raise GuardError("both switched vertices must be saturated")
+    ranks = arena.rank
+    if ranks[ctx.u] != ranks[ctx.w]:
+        raise GuardError("switched vertices must have equal rank")
+    refusal = _refusal(rule, arena, ctx, ranks, _nesting(arena, ctx))
     if refusal is not None:
         raise GuardError(refusal)
-    out = _rewire(tree, *_rule_edges(rule, tree, ctx, ranks))
-    _refuse_loss(rule, sum(ranks), security(out))
-    return out
+    _step(arena, rule, *_rule_edges(rule, arena, ctx, ranks))
+    return RootedTree(arena._parents)
 
 
 def switch_disjoint(tree, ctx):
@@ -338,12 +315,12 @@ def hoist_min_saturated(tree):
     Raises GuardError when the partition vector has repeated exponents, or
     if the step would lower security.
     """
-    edges = _hoist_edges(tree, saturated_vertices(tree))
+    arena = _Arena(tree)
+    edges = _hoist_edges(arena, list(arena.saturated()))
     if edges is None:
         return tree
-    out = _rewire(tree, *edges)
-    _refuse_loss("hoist_min_saturated", security(tree), security(out))
-    return out
+    _step(arena, "hoist_min_saturated", *edges)
+    return RootedTree(arena._parents)
 
 
 @dataclass(frozen=True)
@@ -400,23 +377,48 @@ def _select_switch(tree, x, y, ranks):
         for rule in _RULES:
             if _refusal(rule, tree, ctx, ranks, nesting) is None:
                 return rule, ctx
-        ctx, nesting = SwitchContext.for_pair(tree, y, x), -nesting
+        ctx = SwitchContext(ctx.w, ctx.u, ctx.w0, ctx.u0, ctx.w1, ctx.u1)
+        nesting = -nesting
     raise GuardError(f"no switching rule accepts vertices {x} and {y}")
 
 
-class _Arena:
-    """Private mutable copy of a proper binary tree for the normalizer.
+def _collate(kids, rank, h, a, b):
+    """Compare the canonical texts of the subtrees at a and b: negative,
+    zero or positive.
 
-    Besides the parent links and two-element child lists it keeps, per
-    vertex, the rank, the complete height (-1 unless the subtree is complete
-    binary), the canonical collation key of the subtree and two bitmasks of
-    the exponents of the saturated vertices in the subtree (``mask``: those
-    present, ``dup``: those present at least twice), plus the running
-    security.  :meth:`rewire` measures the union of the root paths of the
-    vertices whose children changed, each vertex once and in walk order,
-    and :meth:`saturated` compares sibling keys only where both children
-    hold a wanted exponent.  Like a :class:`RootedTree` it has a length and
-    exposes ``_parents``, ``root``, ``parent`` and ``children``, so the
+    A canonical text opens as many groups as its subtree's rank before its
+    first leaf, so the lower rank collates first.  Between equal ranks two
+    complete subtrees have equal text, and two pairs compare by their first
+    children, then by their second; this reads the child lists below a and
+    b, which must already be in canonical order.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if rank[a] != rank[b]:
+            return rank[a] - rank[b]
+        if h[a] < 0 or h[b] < 0:
+            ka, kb = kids[a], kids[b]
+            stack.append((ka[1], kb[1]))
+            stack.append((ka[0], kb[0]))
+    return 0
+
+
+class _Arena:
+    """Private mutable copy of a proper binary tree for the switching and
+    hoist rewrites.
+
+    Besides the parent links it keeps every vertex's two-element child list
+    in canonical order (ascending canonical text, the higher id first
+    between equal texts, as in :func:`canonical_order`) and, per vertex,
+    the rank, the complete height (-1 unless the subtree is complete
+    binary) and two bitmasks of the exponents of the saturated vertices in
+    the subtree (``mask``: those present, ``dup``: those present at least
+    twice), plus the running security.  :meth:`rewire` measures the union
+    of the root paths of the vertices whose children changed, each vertex
+    once and in walk order, and :meth:`saturated` walks the stored order
+    without comparing anything.  Like a :class:`RootedTree` it has a length
+    and exposes ``_parents``, ``root``, ``parent`` and ``children``, so the
     switching and hoist helpers run on it unchanged.
     """
 
@@ -427,7 +429,6 @@ class _Arena:
         self.kids = [list(k) for k in tree._child_lists()]
         self.rank = [0] * n
         self.h = [0] * n
-        self.key = [_LEAF_KEY] * n
         self.mask = [1] * n
         self.dup = [0] * n
         self.security = 0
@@ -444,9 +445,10 @@ class _Arena:
         return self.kids[v]
 
     def _measure(self, order):
-        """Recompute the measures of the vertices in ``order``, which lists
-        every vertex after its children, and update the running security."""
-        kids, rank, h, key = self.kids, self.rank, self.h, self.key
+        """Recompute the measures and the canonical child order of the
+        vertices in ``order``, which lists every vertex after its children,
+        and update the running security."""
+        kids, rank, h = self.kids, self.rank, self.h
         mask, dup = self.mask, self.dup
         gain = 0
         for v in order:
@@ -458,20 +460,21 @@ class _Arena:
                 ha = h[a]
                 if ha >= 0 and ha == h[b]:
                     h[v], mask[v], dup[v] = ha + 1, 2 << ha, 0
+                    c = 0
                 else:
                     h[v] = -1
                     ma, mb = mask[a], mask[b]
                     mask[v] = ma | mb
                     dup[v] = dup[a] | dup[b] | (ma & mb)
-                ka, kb = key[a], key[b]
-                if kb < ka:
-                    ka, kb = kb, ka
-                key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
+                    # the ranks decide most orders without a call
+                    c = ra - rb or _collate(kids, rank, h, a, b)
+                if c > 0 or (c == 0 and a < b):
+                    k[0], k[1] = b, a
             elif k:
                 raise GuardError("tree is not proper binary")
             else:
                 r = h[v] = dup[v] = 0
-                key[v], mask[v] = _LEAF_KEY, 1
+                mask[v] = 1
             gain += r - rank[v]
             rank[v] = r
         self.security += gain
@@ -506,20 +509,20 @@ class _Arena:
             order = walk + order
         self._measure(order)
 
-    def is_saturated(self, v, m):
-        """True iff v roots a maximal complete subtree with 2**m leaves."""
-        p = self._parents[v]
-        return self.h[v] == m and (p < 0 or self.h[p] < 0)
+    def is_saturated(self, v, m=None):
+        """True iff v roots a maximal complete subtree, with 2**m leaves if
+        m is given."""
+        h, p = self.h, self._parents[v]
+        return h[v] >= 0 and (m is None or h[v] == m) and (p < 0 or h[p] < 0)
 
     def saturated(self, m=None):
         """Yield the saturated (vertex, exponent) pairs in canonical
         preorder, or only those with exponent m.
 
         Walks only the vertices whose subtree is not complete and holds a
-        wanted pair.  Children go by ascending key, the higher id first
-        between equal keys, exactly as in :func:`canonical_order`.
+        wanted pair, taking children in their stored canonical order.
         """
-        h, key, kids, mask = self.h, self.key, self.kids, self.mask
+        h, kids, mask = self.h, self.kids, self.mask
         want = -1 if m is None else 1 << m
         stack = [self.root] if mask[self.root] & want else []
         while stack:
@@ -528,16 +531,21 @@ class _Arena:
                 yield v, h[v]
                 continue
             a, b = kids[v]
-            if not mask[a] & want:
+            if mask[b] & want:
                 stack.append(b)
-            elif not mask[b] & want:
+            if mask[a] & want:
                 stack.append(a)
-            else:
-                ka, kb = key[a], key[b]
-                if ka > kb or (ka == kb and a < b):
-                    a, b = b, a
-                stack.append(b)
-                stack.append(a)
+
+
+def _step(arena, rule, removed, added):
+    """Apply one step of ``rule`` to the arena and return its
+    :class:`RewriteStep`; refuse a step that lowered security."""
+    before = arena.security
+    arena.rewire(removed, added)
+    after = arena.security
+    if after < before:
+        raise GuardError(f"{rule} lowered security from {before} to {after}")
+    return RewriteStep(rule, tuple(removed), tuple(added), before, after)
 
 
 def normalize_to_power_spine(tree):
@@ -551,27 +559,25 @@ def normalize_to_power_spine(tree):
     Every step weakly increases security.  Returns the rewritten tree and
     the trace.
 
-    The rewrites run on a private mutable copy of the tree.  Each step
-    checks its surgery and repairs ranks, complete heights, canonical keys
-    and exponent bitmasks in one pass over the union of the changed root
-    paths, O(depth) vertices each measured once in walk order (rebuilding a
-    key copies the keys of its two children), and each merge group finds
-    its two vertices in O(depth), comparing keys only where both children
-    hold the wanted exponent; the result is validated once at the end.
-    Raises GuardError if no switching rule accepts a pair, a step would
-    lower security or the steps exceed a guard quadratic in the tree's
-    order.
+    The rewrites run on a private mutable copy of the tree, through the
+    same :func:`_step` as the public rewrites.  Each step checks its
+    surgery and repairs ranks, complete heights, exponent bitmasks and the
+    children kept in canonical order in one pass over the union of the
+    changed root paths, O(depth) vertices each measured once in walk order
+    (ordering two children compares their subtrees only down to the first
+    difference, in O(1) when both are complete or one is a leaf), and each
+    merge group finds its two vertices in O(depth) by walking the stored
+    order; the result is validated once at the end.  Memory stays linear
+    in the tree's order.  Raises GuardError if no switching rule accepts a
+    pair, a step would lower security or the steps exceed a guard
+    quadratic in the tree's order.
     """
     arena = _Arena(tree)
     steps = []
     step_guard = 8 * len(tree) * len(tree) + 64
 
     def apply(rule, removed, added):
-        before = arena.security
-        arena.rewire(removed, added)
-        after = arena.security
-        _refuse_loss(rule, before, after)
-        steps.append(RewriteStep(rule, tuple(removed), tuple(added), before, after))
+        steps.append(_step(arena, rule, removed, added))
         if len(steps) > step_guard:
             raise GuardError("rewrite did not terminate within the step guard")
 

@@ -500,7 +500,10 @@ def _peak_rss_mb(argv, stdin=subprocess.DEVNULL):
     return code, peak_kib / 1024
 
 
-@pytest.mark.parametrize("argv", [["rank"], ["export", "--format", "dot"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["rank"], ["export", "--format", "dot"], ["normalize"], ["normalize", "--trace"]],
+)
 def test_deep_tree_commands_stay_small(tmp_path, argv):
     path = tmp_path / "caterpillar.txt"
     path.write_text("(L" * 16382 + "(LL)" + ")" * 16382)  # 16,384 leaves

@@ -33,7 +33,8 @@ from treesec import (
 from treesec import rewrites
 from treesec.cli import main
 from treesec.rewrites import _rewire, _switch_edges
-from oracles import random_kary, random_proper_binary
+from treesec.trees import _canonical
+from oracles import random_kary, random_proper_binary, shuffled_copy
 
 SWITCH_OPS = (
     switch_disjoint,
@@ -503,8 +504,22 @@ class TestArena:
         with pytest.raises(GuardError, match="cycle or unreachable"):
             arena.rewire(((0, 1), (2, 3)), ((2, 1), (0, 3)))
 
+    def test_children_are_kept_in_canonical_order(self):
+        # the arena orders children from ranks, complete heights and the
+        # child lists below; trees._canonical orders them by subtree text
+        shapes = [t for leaves in range(1, 11) for t in enumerate_shapes(leaves)]
+        rng = random.Random(0xC01)
+        trees = shapes + [shuffled_copy(t, rng) for t in shapes]
+        trees += _seeded_random_trees(20, 300, seed=0xC0A)
+        for t in trees:
+            arena = rewrites._Arena(t)
+            _, kids = _canonical(t)
+            for v in range(len(t)):
+                if kids[v]:
+                    assert arena.kids[v] == list(kids[v]), serialize(t)
+
     def test_repair_matches_a_fresh_arena_after_every_step(self, monkeypatch):
-        fields = ("rank", "h", "key", "mask", "dup", "root", "security")
+        fields = ("rank", "h", "kids", "mask", "dup", "root", "security")
         rewire = rewrites._Arena.rewire
         seen = {"three_edge": 0, "new_root": 0}
 
