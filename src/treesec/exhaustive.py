@@ -4,52 +4,38 @@ This module is the independent check on every closed form in
 :mod:`treesec.formulas`: it enumerates all non-isomorphic shapes at desk
 scale and measures them directly.  Shapes are generated by unordered
 pairing (proper binary) or by multiset composition of child subtrees
-(bounded-outdegree) and deduplicated at generation time by construction.
-Every level is built in generation order, which nothing reads: pairing and
-composition draw each unordered choice of children once whatever the order
-of a level, and the measurements only count and take maxima.  Canonical
-order is applied where shapes are output, by one sort of the output level.
+(bounded-outdegree), each unordered choice of children once, so nothing
+reads the order of a level; canonical order is applied where shapes are
+output, by one sort of the output level.  A shape's key is its canonical
+text, so trees come from :func:`treesec.trees.parse` alone and the
+canonical ids are parse's preorder ids.
 
-A shape's key is its canonical text, so trees come from
-:func:`treesec.trees.parse` alone and the canonical ids are parse's
-preorder ids.
-
-A proper binary shape is a plain tuple ``(key, rank, security)``.  ``key``
-is the shape's canonical text in the collation keys of ``trees`` (``)`` =
-0, ``L`` = 1, ``(`` = 2) read as hexadecimal digits and left-aligned in
+A proper binary shape is ``(key, rank, security)``.  ``key`` is the
+canonical text in the collation keys of ``trees`` (``)`` = 0, ``L`` = 1,
+``(`` = 2) read as hexadecimal digits and left-aligned in
 ``3 * MAX_ENUM_LEAVES - 2`` digits, the longest text the guard admits.
-Canonical texts are prefix-free, so integer order is canonical order, and a
-pair's key is composed without any text: an a-leaf text has 3a - 2
-characters, so ``(AB)`` is ``OPEN + (key(A) >> 4) + (key(B) >> 4 * (3a -
-1))`` with ``OPEN`` the digit 2 in the top place.
+Canonical texts are prefix-free, so integer order is canonical order, and
+an a-leaf text has 3a - 2 characters, so ``(AB)`` is ``OPEN + (key(A) >>
+4) + (key(B) >> 4 * (3a - 1))`` with ``OPEN`` the digit 2 in the top
+place.  :func:`_pairs` yields the shapes of one leaf count from the levels
+below it.  :func:`_bshapes` stores levels 1..N-1 in columns, a list of
+keys and ``bytearray`` ranks and securities (whose ``append`` refuses a
+value over 255; at the guard they are at most 4 and 36), and streams level
+N: the output level is never stored.
 
-A bounded-outdegree shape is a plain tuple ``(canon, root_rank, max_rank,
-proper, degree)``: ``canon`` is the canonical text already in that
-collation (as a string), ``proper`` says every outdegree is 0 or exactly
-the arity bound, and ``degree`` is the root's outdegree.  ``canon`` is
-unique within a table, so tuple order is canonical order and no sort needs
-a key.
+A bounded-outdegree shape is ``(canon, root_rank, max_rank, proper,
+degree)``: ``canon`` is the canonical text in that collation, as a string
+unique within a table, so tuple order is canonical order; ``proper`` says
+every outdegree is 0 or exactly the arity bound.
 
-The census counts come from a recurrence over classes, not from a table.
-:func:`_shape_classes` counts the proper binary shapes of each leaf count
-by (root rank, security).  A shape is a leaf or an unordered pair of
-shapes: for sides of a < b leaves the class counts multiply, and for a = b
-two different classes give c * c' pairs and a class paired with itself
-gives c(c + 1) / 2.  A pair's rank is one more than its smaller child's,
-and its security is the children's sum plus that rank.  This is the
-Wedderburn-Etherington pairing refined by two statistics, keyed on raw
-security and taking nothing from :mod:`treesec.formulas`.
-:func:`count_shapes` and :func:`census_table` read it.
-:func:`brute_force_extremes` (which ``verify`` calls) and every function
-that yields shapes measure the enumerated table, and
-:func:`maximizer_shapes` takes the best security from the level it yields,
-so enumeration stays the oracle for the closed forms and the recurrence.
-
-No table outlives its call.  :func:`_bshapes`, :func:`_shape_classes` and
-:func:`_kshapes` build every level bottom-up into a local list, which is
-dropped with the call's result, and a streaming call keeps only its last
-level alive.  ``verify`` measures all its leaf counts on one build through
-:func:`_brute_force_rows`.
+The census counts come from :func:`_shape_classes`, a recurrence that
+counts the proper binary shapes of each leaf count by (root rank,
+security), keyed on raw security and taking nothing from
+:mod:`treesec.formulas`; :func:`count_shapes` and :func:`census_table` read
+it.  ``verify`` and every function that yields shapes measure the
+enumeration instead, so enumeration stays the oracle for the closed forms
+and the recurrence.  No table outlives its call, and ``verify`` measures
+all its leaf counts on one build through :func:`_brute_force_rows`.
 """
 
 from collections import Counter
@@ -93,43 +79,50 @@ def _leaf_guard(leaves):
         raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
 
 
+def _pairs(levels, n):
+    """Yield ``(key, rank, security)`` for every n-leaf shape: the leaf, or
+    every unordered pair of shapes from ``levels[1..n-1]``."""
+    if n == 1:
+        yield _BLEAF, 0, 0
+    for a in range(1, n // 2 + 1):
+        small, big = levels[a], levels[n - a]
+        shift_x, shift_y = 4 * (3 * a - 1), 4 * (3 * (n - a) - 1)
+        for i, (kx, rx, sx) in enumerate(zip(*small)):
+            head = _BOPEN + (kx >> 4)
+            for ky, ry, sy in zip(*(c[i:] for c in small) if big is small else big):
+                rank = (rx if rx < ry else ry) + 1
+                if kx < ky:
+                    yield head + (ky >> shift_x), rank, sx + sy + rank
+                else:
+                    yield _BOPEN + (ky >> 4) + (kx >> shift_y), rank, sx + sy + rank
+
+
 def _bshapes(leaves):
-    """The proper binary shapes of 1..``leaves`` leaves, built bottom-up for
-    this call: ``levels[a]`` lists the a-leaf shapes in generation order."""
+    """The columns of levels 1..``leaves`` - 1, built for this call, and a
+    stream of the ``leaves``-leaf shapes that pairs them."""
     _leaf_guard(leaves)
-    levels = [None, [(_BLEAF, 0, 0)]]
-    for n in range(2, leaves + 1):
-        out = []
-        append = out.append
-        for a in range(1, n // 2 + 1):
-            small, big = levels[a], levels[n - a]
-            shift_x, shift_y = 4 * (3 * a - 1), 4 * (3 * (n - a) - 1)
-            for i, (kx, rx, sx) in enumerate(small):
-                head = _BOPEN + (kx >> 4)
-                for ky, ry, sy in small[i:] if big is small else big:
-                    rank = (rx if rx < ry else ry) + 1
-                    sec = sx + sy + rank
-                    if kx < ky:
-                        append((head + (ky >> shift_x), rank, sec))
-                    else:
-                        append((_BOPEN + (ky >> 4) + (kx >> shift_y), rank, sec))
-        levels.append(out)
-    return levels
+    levels = [None]
+    for n in range(1, leaves):
+        keys, ranks, secs = level = ([], bytearray(), bytearray())
+        for key, rank, sec in _pairs(levels, n):
+            keys.append(key)
+            ranks.append(rank)
+            secs.append(sec)
+        levels.append(level)
+    return levels, _pairs(levels, leaves)
 
 
-def _texts(shapes, leaves):
-    """The canonical texts of ``shapes`` on ``leaves`` leaves, in canonical
-    order (the list is sorted in place)."""
-    shapes.sort()
+def _texts(keys, leaves):
+    """The canonical texts of the ``leaves``-leaf ``keys``, sorted in place."""
+    keys.sort()
     cut = 3 * leaves - 2
-    for key, _, _ in shapes:
+    for key in keys:
         yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
 
 
 def _shape_texts(leaves):
-    """The canonical texts of the proper binary shapes on ``leaves`` leaves,
-    in canonical order."""
-    return _texts(_bshapes(leaves)[leaves], leaves)
+    """Canonical texts of the ``leaves``-leaf shapes, in canonical order."""
+    return _texts([key for key, _, _ in _bshapes(leaves)[1]], leaves)
 
 
 def enumerate_shapes(leaves):
@@ -197,8 +190,10 @@ def _census_row(leaves, by_security):
 def _brute_force_rows(max_leaves):
     """The brute-force census rows of 1..``max_leaves`` leaves, measured on
     one build of the shape tables."""
-    for leaves, shapes in enumerate(_bshapes(max_leaves)[1:], 1):
-        yield _census_row(leaves, Counter(map(itemgetter(2), shapes)))
+    levels, top = _bshapes(max_leaves)
+    for leaves, (_, _, secs) in enumerate(levels[1:], 1):
+        yield _census_row(leaves, Counter(secs))
+    yield _census_row(max_leaves, Counter(map(itemgetter(2), top)))
 
 
 def brute_force_extremes(leaves):
@@ -210,11 +205,15 @@ def brute_force_extremes(leaves):
 
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
-    order (streamed; nothing is materialized beyond the shape table).  The
-    best security is measured on the same enumerated level."""
-    level = _bshapes(leaves)[leaves]
-    best = max(map(itemgetter(2), level))
-    for text in _texts([s for s in level if s[2] == best], leaves):
+    order (streamed; only the keys of the best security so far are kept).
+    The best security is measured on the same enumerated level."""
+    best, keys = -1, []
+    for key, _, sec in _bshapes(leaves)[1]:
+        if sec > best:
+            best, keys = sec, []
+        if sec == best:
+            keys.append(key)
+    for text in _texts(keys, leaves):
         yield parse(text)
 
 

@@ -521,6 +521,23 @@ def test_census_counts_stay_small(argv):
     assert peak_mb < 40
 
 
+@pytest.mark.parametrize(
+    "argv,limit_mb",
+    [
+        (["verify", "--max-leaves", "20"], 45),
+        (["verify", "--max-leaves", "22"], 150),
+        (["enumerate", "--leaves", "20"], 65),
+    ],
+    ids=["verify-20", "verify-22", "enumerate-20"],
+)
+def test_shape_tables_stay_small(argv, limit_mb):
+    # the output level is streamed: storing it as well took about 85, 376
+    # and 84 MB
+    code, peak_mb = _peak_rss_mb(argv)
+    assert code == 0
+    assert peak_mb < limit_mb
+
+
 def test_package_imports_only_the_standard_library():
     # a fresh interpreter, so that modules the tests import hide nothing
     probe = (

@@ -73,8 +73,16 @@ class TestCallScopedTables:
             lambda: brute_force_extremes(18),
             lambda: list(enumerate_kary_trees(11)),
             lambda: census_table(20),
+            lambda: list(maximizer_shapes(18)),
+            lambda: list(enumerate_shapes(14)),
         ],
-        ids=["brute_force_extremes", "enumerate_kary_trees", "census_table"],
+        ids=[
+            "brute_force_extremes",
+            "enumerate_kary_trees",
+            "census_table",
+            "maximizer_shapes",
+            "enumerate_shapes",
+        ],
     )
     def test_no_table_outlives_its_call(self, call):
         tracemalloc.start()
@@ -93,12 +101,12 @@ class TestShapeClasses:
     @pytest.fixture(scope="class")
     def enumerated(self):
         """``{(rank, security): count}`` of every leaf count to the guard,
-        from one build of the shape tables; the tables themselves are
-        dropped on return."""
-        levels = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
-        return [None] + [
-            Counter((rank, sec) for _, rank, sec in level) for level in levels[1:]
-        ]
+        from one build of the shape tables: the stored columns of the lower
+        levels and the streamed top level; the tables themselves are dropped
+        on return."""
+        levels, top = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
+        stored = [Counter(zip(ranks, secs)) for _, ranks, secs in levels[1:]]
+        return [None, *stored, Counter((rank, sec) for _, rank, sec in top)]
 
     def test_recurrence_equals_the_enumeration(self, enumerated):
         top = exhaustive.MAX_ENUM_LEAVES
