@@ -21,9 +21,9 @@ __all__ = [
     "build_complete_kary",
 ]
 
-MAX_COMPLETE_HEIGHT = 25
 MAX_LEAVES = 1 << 25
-MAX_ORDER = 1 << 26
+MAX_COMPLETE_HEIGHT = MAX_LEAVES.bit_length() - 1
+MAX_ORDER = 2 * MAX_LEAVES
 LEAF_RANGE = 1 << 30
 
 
@@ -40,18 +40,21 @@ def binary_power_representation(leaves):
     return tuple(i for i in range(leaves.bit_length() - 1, -1, -1) if (leaves >> i) & 1)
 
 
-def _extend_complete(parents, parent_of_root, height):
-    """Append a complete binary block of the given height; return its root id.
+def _heap(parents, parent_of_root, order, k=2):
+    """Append ``order`` vertices in level order, k children per vertex:
+    vertex ``off + i`` hangs from ``off + (i - 1) // k``, where ``off`` is
+    the new root's id, so parents precede children.
 
-    Vertices are appended in level order, so parents precede children.
+    No vertex can have more than ``order - 1`` children, so a larger k
+    changes nothing and is clamped, which keeps the work linear in ``order``.
     """
     off = len(parents)
     parents.append(parent_of_root)
-    half = (1 << height) - 1
-    if half:
-        run = range(off, off + half)
-        parents.extend(chain.from_iterable(zip(run, run)))
-    return off
+    k = min(k, max(order - 1, 1))
+    full, rest = divmod(order - 1, k)
+    run = range(off, off + full)
+    parents.extend(chain.from_iterable(zip(*[run] * k)))
+    parents.extend([off + full] * rest)
 
 
 def build_complete_binary(height):
@@ -61,7 +64,7 @@ def build_complete_binary(height):
     if height > MAX_COMPLETE_HEIGHT:
         raise SizeError(f"height over guard ({MAX_COMPLETE_HEIGHT})")
     parents = []
-    _extend_complete(parents, -1, height)
+    _heap(parents, -1, (2 << height) - 1)
     return RootedTree._make(parents)
 
 
@@ -82,9 +85,9 @@ def _spine_parents(blocks):
             pair = len(parents)
             parents.append(prev)
             for height in block:
-                _extend_complete(parents, pair, height)
+                _heap(parents, pair, (2 << height) - 1)
         else:
-            _extend_complete(parents, prev, block)
+            _heap(parents, prev, (2 << block) - 1)
     return parents
 
 
@@ -115,14 +118,8 @@ def build_almost_complete(leaves):
         raise GuardError("leaf count must be at least 1")
     if leaves > MAX_LEAVES:
         raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
-    height = leaves.bit_length() - 1
-    extra = leaves - (1 << height)
     parents = []
-    _extend_complete(parents, -1, height)
-    first_leaf = (1 << height) - 1
-    if extra:
-        run = range(first_leaf, first_leaf + extra)
-        parents.extend(chain.from_iterable(zip(run, run)))
+    _heap(parents, -1, 2 * leaves - 1)
     return RootedTree._make(parents)
 
 
@@ -141,37 +138,19 @@ def build_almost_complete_stepwise(leaves):
         raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
     rep = binary_power_representation(leaves)
     parents = []
-    _extend_complete(parents, -1, rep[0])
-    if len(rep) == 1:
-        return RootedTree._make(parents)
-    # children in construction order; child lists stay [left, right]
-    kids = [[] for _ in parents]
-    for v, p in enumerate(parents):
-        if p >= 0:
-            kids[p].append(v)
+    _heap(parents, -1, (2 << rep[0]) - 1)
+    # Every block expanded below is an undisturbed subtree of that first
+    # heap, so heap arithmetic finds it: vertex v has children 2v+1, 2v+2.
     q = 0
-    for i in range(1, len(rep)):
-        gap = rep[i - 1] - rep[i]
-        rho = kids[q][0]
-        for _ in range(gap - 1):
-            rho = kids[rho][0]
-        p = parents[rho]
-        q_next = kids[p][1] if kids[p][0] == rho else kids[p][0]
-        # expand every leaf of the block rooted at rho by one level
-        block_leaves = []
-        stack = [rho]
-        while stack:
-            v = stack.pop()
-            if kids[v]:
-                stack.extend(kids[v])
-            else:
-                block_leaves.append(v)
-        for v in block_leaves:
-            for _ in range(2):
-                parents.append(v)
-                kids.append([])
-                kids[v].append(len(parents) - 1)
-        q = q_next
+    for prev, cur in zip(rep, rep[1:]):
+        # rho is q's leftmost descendant prev - cur levels down; q moves on
+        # to rho's sibling, the next undisturbed block
+        rho = ((q + 1) << (prev - cur)) - 1
+        q = rho + 1
+        # rho's leaves are 2**cur consecutive ids; expand the highest first
+        first = ((rho + 1) << cur) - 1
+        run = range(first + (1 << cur) - 1, first - 1, -1)
+        parents.extend(chain.from_iterable(zip(run, run)))
     return RootedTree._make(parents)
 
 
@@ -228,8 +207,6 @@ def build_complete_kary(order, k):
         raise GuardError("order must be at least 1")
     if order > MAX_ORDER:
         raise SizeError(f"order over guard ({MAX_ORDER})")
-    parents = [-1]
-    full = (order - 1) // k
-    parents.extend(chain.from_iterable(zip(*[range(full)] * k)))
-    parents.extend([full] * ((order - 1) % k))
+    parents = []
+    _heap(parents, -1, order, k)
     return RootedTree._make(parents)

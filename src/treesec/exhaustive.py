@@ -59,7 +59,6 @@ __all__ = [
     "brute_force_max_root_rank",
     "census_table",
     "census_tsv",
-    "census_json",
 ]
 
 MAX_ENUM_LEAVES = 22
@@ -242,23 +241,6 @@ def census_tsv(rows):
             f"\t{r.maximizer_count}\t{frac}"
         )
     return "\n".join(lines) + "\n"
-
-
-def census_json(rows):
-    import json
-
-    return json.dumps(
-        [
-            {
-                "leaves": r.leaf_count,
-                "shapes": r.total_shapes,
-                "max_security": r.max_security,
-                "maximizers": r.maximizer_count,
-                "fraction": f"{r.maximizer_count}/{r.total_shapes}",
-            }
-            for r in rows
-        ]
-    )
 
 
 _KLEAF = (_LEAF_KEY, 0, 0, True, 0)

@@ -84,10 +84,9 @@ def complete_binary_security(height):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A closed-form maximum together with a family attaining it."""
+    """A closed-form maximum."""
 
     value: int
-    witness_family: str
 
 
 def max_root_rank_general(order):
@@ -95,7 +94,7 @@ def max_root_rank_general(order):
     attained exactly by a path rooted at one of its ends."""
     if order < 1:
         raise GuardError("order must be at least 1")
-    return BoundReport(value=order - 1, witness_family="path")
+    return BoundReport(value=order - 1)
 
 
 def max_root_rank_starlike(order, k):
@@ -106,7 +105,7 @@ def max_root_rank_starlike(order, k):
         raise GuardError("root degree must be at least 1")
     if order < k + 1:
         raise GuardError("order must be at least k + 1")
-    return BoundReport(value=(order - 1) // k, witness_family="starlike")
+    return BoundReport(value=(order - 1) // k)
 
 
 def max_root_rank_kary(order, k):
@@ -119,7 +118,4 @@ def max_root_rank_kary(order, k):
         raise GuardError("arity must be at least 2")
     if order < 1:
         raise GuardError("order must be at least 1")
-    return BoundReport(
-        value=intlog(k, order * (k - 1) + 1) - 1,
-        witness_family="complete_kary",
-    )
+    return BoundReport(value=intlog(k, order * (k - 1) + 1) - 1)

@@ -18,7 +18,6 @@ preserved by every switching/hoist rewrite, so the edge pairs recorded in a
 :class:`RewriteTrace` refer to the input tree's ids throughout.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 
@@ -352,20 +351,6 @@ class RewriteTrace:
                 f"{rem} {add}"
             )
         return "\n".join(lines)
-
-    def to_json(self):
-        return json.dumps(
-            [
-                {
-                    "rule": s.rule,
-                    "edges_removed": [list(e) for e in s.edges_removed],
-                    "edges_added": [list(e) for e in s.edges_added],
-                    "security_before": s.security_before,
-                    "security_after": s.security_after,
-                }
-                for s in self.steps
-            ]
-        )
 
 
 def _select_switch(tree, x, y, ranks):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,6 +38,34 @@ def _level_order_parents(tree):
     for i, v in enumerate(order):
         newid[v] = i
     return [-1 if par[v] < 0 else newid[par[v]] for v in order]
+
+
+class TestRawIdsPinned:
+    """sha256 over every builder's parent array, so that a change to a
+    builder cannot renumber a vertex even where the shape stays the same."""
+
+    def test_parent_arrays(self):
+        h = hashlib.sha256()
+
+        def feed(tree):
+            h.update((" ".join(map(str, tree._parents)) + "\n").encode())
+
+        for height in range(15):
+            feed(build_complete_binary(height))
+        for leaves in range(1, 2049):
+            feed(build_almost_complete(leaves))
+            feed(build_almost_complete_stepwise(leaves))
+            feed(build_power_spine(leaves))
+        for leaves in range(2, 257):
+            feed(build_binary_caterpillar(leaves))
+        for k in range(2, 6):
+            for order in range(1, 301):
+                feed(build_complete_kary(order, k))
+        for arms in [(1,), (1, 1, 1), (3, 2), (2, 2, 2), (5, 1, 4, 1), (7,)]:
+            feed(build_starlike(arms))
+        assert h.hexdigest() == (
+            "2622420ab24324dbe9fd4cc60bcf2f8e7ee621b5f5e774bbaf031186e59605cf"
+        )
 
 
 class TestBinaryPowerRepresentation:
@@ -244,6 +274,17 @@ class TestCompleteKary:
                     continue
                 t = build_complete_kary(n, k)
                 assert all_ranks(t)[t.root] == max_root_rank_kary(n, k).value
+
+    def test_huge_arity_costs_nothing(self):
+        # no vertex of a 5-vertex tree has more than 4 children, whatever k
+        tracemalloc.start()
+        try:
+            t = build_complete_kary(5, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t._parents == build_complete_kary(5, 4)._parents == [-1, 0, 0, 0, 0]
+        assert peak < 1 << 20
 
     def test_guard(self):
         with pytest.raises(GuardError):

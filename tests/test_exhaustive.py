@@ -14,7 +14,6 @@ from treesec import (
     build_almost_complete,
     build_power_spine,
     canonical_form,
-    census_json,
     census_table,
     census_tsv,
     classify,
@@ -231,18 +230,6 @@ class TestCensusTable:
         assert lines[1] == "1\t1\t0\t1\t1/1"
         assert lines[7] == "7\t11\t8\t4\t4/11"
         assert "." not in text  # no floating point anywhere
-
-    def test_json(self):
-        import json
-
-        rows = json.loads(census_json(census_table(3)))
-        assert rows[2] == {
-            "leaves": 3,
-            "shapes": 1,
-            "max_security": 2,
-            "maximizers": 1,
-            "fraction": "1/1",
-        }
 
     def test_guard(self):
         with pytest.raises(SizeError):

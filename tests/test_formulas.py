@@ -122,7 +122,6 @@ class TestRootRankBounds:
         assert max_root_rank_general(1).value == 0
         assert max_root_rank_general(4).value == 3
         assert max_root_rank_general(9).value == 8
-        assert max_root_rank_general(4).witness_family == "path"
         with pytest.raises(GuardError):
             max_root_rank_general(0)
 
@@ -156,7 +155,6 @@ class TestRootRankBounds:
         assert max_root_rank_kary(13, 3).value == 2
         assert max_root_rank_kary(1, 2).value == 0
         assert max_root_rank_kary(7, 2).value == 2
-        assert max_root_rank_kary(7, 2).witness_family == "complete_kary"
         with pytest.raises(GuardError):
             max_root_rank_kary(5, 1)
 

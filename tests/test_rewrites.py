@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 
 import pytest
@@ -647,15 +646,6 @@ class TestTrace:
         assert line.startswith("switch_nested_high_sibling: security 3 -> 4;")
         assert "-(" in line and "+(" in line
 
-    def test_json_log(self):
-        _, trace = normalize_to_power_spine(parse("(L(L(LL)))"))
-        steps = json.loads(trace.to_json())
-        assert steps[0]["rule"] == "switch_nested_high_sibling"
-        assert steps[0]["security_before"] == 3
-        assert steps[0]["security_after"] == 4
-        assert len(steps[0]["edges_removed"]) == 2
-
     def test_empty_trace(self):
         trace = RewriteTrace(steps=())
         assert trace.to_text() == ""
-        assert json.loads(trace.to_json()) == []
