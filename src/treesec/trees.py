@@ -130,13 +130,23 @@ class RootedTree:
         return len(self._parents) + 1 - len(set(self._parents))
 
     def _child_lists(self):
-        # lazy, idempotent cache: a concurrent duplicate build is benign
+        # lazy, idempotent cache: a concurrent duplicate build is benign.
+        # Leaves share the empty tuple, so a binary tree costs about n
+        # containers, not 2n; cyclic GC walks every one of them.
         if self._children is None:
-            ch = [[] for _ in self._parents]
+            ch = [()] * len(self._parents)
+            internal = []
             for i, p in enumerate(self._parents):
                 if p >= 0:
-                    ch[p].append(i)
-            self._children = [tuple(kids) for kids in ch]
+                    kids = ch[p]
+                    if kids:
+                        kids.append(i)
+                    else:
+                        ch[p] = [i]
+                        internal.append(p)
+            for v in internal:
+                ch[v] = tuple(ch[v])
+            self._children = ch
         return self._children
 
     def _top_down_order(self):
@@ -262,11 +272,15 @@ def tree_from_json(obj):
 
 def tree_to_json(tree):
     """Inverse of :func:`tree_from_json` (children in storage order)."""
-    ch = tree._child_lists()
-    nodes = [None] * len(tree)
-    for v in reversed(tree._top_down_order()):
-        nodes[v] = {"children": [nodes[c] for c in ch[v]]}
-    return nodes[tree.root]
+    # the top-down order lists each parent's children by increasing id, so
+    # appending every vertex to its parent's list keeps storage order
+    par = tree._parents
+    kids = [[] for _ in par]
+    for v in tree._top_down_order():
+        p = par[v]
+        if p >= 0:
+            kids[p].append({"children": kids[v]})
+    return {"children": kids[tree.root]}
 
 
 def export_dot(tree, annotate="none"):

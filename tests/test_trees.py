@@ -205,6 +205,35 @@ class TestIoPinned:
             back = tree_from_json(tree_to_json(t))
             assert back._parents == parse(serialize(t))._parents
 
+    def test_deep_round_trip_without_recursion(self):
+        # far deeper than the corpus caterpillar; json.dumps would stop near
+        # 490 levels, so the document is read back without it
+        deep = build_binary_caterpillar(100_000)
+        for t in (deep, _relabelled(deep, random.Random(17))):
+            back = tree_from_json(tree_to_json(t))
+            assert back._parents == parse(serialize(t))._parents
+
+
+class TestChildLists:
+    def test_children_are_id_ordered_tuples(self):
+        star = RootedTree([-1] + [0] * 20_000)
+        base = random_general(60, random.Random(29))
+        last = len(base) - 1
+        backwards = RootedTree([p if p < 0 else last - p for p in reversed(base._parents)])
+        assert all(p > v for v, p in enumerate(backwards._parents) if p >= 0)
+        for t in _io_corpus() + [star, backwards]:
+            n = len(t)
+            # the children of v are the ids c with parents[c] == v, ascending
+            expected = [[] for _ in range(n)]
+            for c, p in enumerate(t._parents):
+                if p >= 0:
+                    expected[p].append(c)
+            for v in range(n):
+                kids = t.children(v)
+                assert type(kids) is tuple and kids == tuple(expected[v])
+                assert t.degree(v) == len(kids)
+                assert t.is_leaf(v) == (kids == ())
+
 
 class TestRanks:
     def test_worked_example_multiset(self):
