@@ -22,12 +22,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_tree_input(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--tree", help="tree text (parenthesis or JSON)")
-    g.add_argument("--file", help="read the tree from this path ('-' = stdin)")
-
-
 def _read_tree_arg(args):
     if args.tree is not None:
         text = args.tree
@@ -47,46 +41,52 @@ def _build_parser():
     parser = _Parser(prog="treesec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("build", help="construct a named tree family")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["tl", "f", "complete", "caterpillar", "starlike", "complete-kary"],
-    )
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    def tree_command(name, run, help):
+        p = command(name, run, help)
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--tree", help="tree text (parenthesis or JSON)")
+        g.add_argument("--file", help="read the tree from this path ('-' = stdin)")
+        return p
+
+    p = command("build", _cmd_build, "construct a named tree family")
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--leaves", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--order", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--arms", help="comma-separated arm lengths")
 
-    p = sub.add_parser("rank", help="vertex ranks (canonical preorder indices)")
-    _add_tree_input(p)
+    p = tree_command("rank", _cmd_rank, "vertex ranks (canonical preorder indices)")
     p.add_argument("--vertex", type=int, help="canonical preorder index")
 
-    p = sub.add_parser("security", help="sum of all vertex ranks")
-    _add_tree_input(p)
+    tree_command("security", _cmd_security, "sum of all vertex ranks")
 
-    p = sub.add_parser("protected", help="count vertices of rank >= level")
-    _add_tree_input(p)
+    p = tree_command("protected", _cmd_protected, "count vertices of rank >= level")
     p.add_argument("--level", type=int, required=True)
 
-    p = sub.add_parser("partition", help="saturated-subtree exponents")
-    _add_tree_input(p)
+    tree_command("partition", _cmd_partition, "saturated-subtree exponents")
 
-    p = sub.add_parser("normalize", help="rewrite into the maximal spine shape")
-    _add_tree_input(p)
+    p = tree_command(
+        "normalize", _cmd_normalize, "rewrite into the maximal spine shape"
+    )
     p.add_argument("--trace", action="store_true", help="print the rewrite log")
 
-    p = sub.add_parser("flip", help="security-preserving spine reshuffle")
-    _add_tree_input(p)
+    p = tree_command("flip", _cmd_flip, "security-preserving spine reshuffle")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--variant", type=int, required=True, choices=[1, 2])
 
-    p = sub.add_parser("enumerate", help="all proper binary shapes for a leaf count")
+    p = command(
+        "enumerate", _cmd_enumerate, "all proper binary shapes for a leaf count"
+    )
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("verify", help="check closed forms against brute force")
+    p = command("verify", _cmd_verify, "check closed forms against brute force")
     p.add_argument("--max-leaves", type=int)
     p.add_argument(
         "--kary", nargs=2, type=int, metavar=("N", "K"), help="root-rank check"
@@ -95,11 +95,10 @@ def _build_parser():
         "--starlike", nargs=2, type=int, metavar=("N", "K"), help="root-rank check"
     )
 
-    p = sub.add_parser("table", help="security census as TSV")
+    p = command("table", _cmd_table, "security census as TSV")
     p.add_argument("--max-leaves", type=int, required=True)
 
-    p = sub.add_parser("export", help="emit DOT or JSON")
-    _add_tree_input(p)
+    p = tree_command("export", _cmd_export, "emit DOT or JSON")
     p.add_argument("--format", required=True, choices=["dot", "json"])
     p.add_argument("--ranks", action="store_true", help="label vertices with ranks")
 
@@ -111,32 +110,32 @@ def _require(condition, message):
         raise GuardError(message)
 
 
+def _starlike(arms):
+    try:
+        arms = [int(a) for a in arms.split(",")]
+    except ValueError:
+        raise GuardError("--arms must be comma-separated integers") from None
+    return builders.build_starlike(arms)
+
+
+# each family's builder and the flags it reads, in argument order
+_FAMILIES = {
+    "tl": (builders.build_power_spine, ("leaves",)),
+    "f": (builders.build_almost_complete, ("leaves",)),
+    "complete": (builders.build_complete_binary, ("height",)),
+    "caterpillar": (builders.build_binary_caterpillar, ("leaves",)),
+    "starlike": (_starlike, ("arms",)),
+    "complete-kary": (builders.build_complete_kary, ("order", "k")),
+}
+
+
 def _cmd_build(args, out):
-    fam = args.family
-    if fam == "tl":
-        _require(args.leaves is not None, "--leaves is required for family tl")
-        tree = builders.build_power_spine(args.leaves)
-    elif fam == "f":
-        _require(args.leaves is not None, "--leaves is required for family f")
-        tree = builders.build_almost_complete(args.leaves)
-    elif fam == "complete":
-        _require(args.height is not None, "--height is required for family complete")
-        tree = builders.build_complete_binary(args.height)
-    elif fam == "caterpillar":
-        _require(args.leaves is not None, "--leaves is required for family caterpillar")
-        tree = builders.build_binary_caterpillar(args.leaves)
-    elif fam == "starlike":
-        _require(args.arms, "--arms is required for family starlike")
-        try:
-            arms = [int(a) for a in args.arms.split(",")]
-        except ValueError:
-            raise GuardError("--arms must be comma-separated integers") from None
-        tree = builders.build_starlike(arms)
-    else:
-        _require(args.order is not None, "--order is required for family complete-kary")
-        _require(args.k is not None, "--k is required for family complete-kary")
-        tree = builders.build_complete_kary(args.order, args.k)
-    out.write(trees.serialize(tree, canonical=True) + "\n")
+    build, flags = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value in (None, ""):
+            raise GuardError(f"--{flag} is required for family {args.family}")
+    out.write(trees.serialize(build(*values), canonical=True) + "\n")
 
 
 def _cmd_rank(args, out):
@@ -150,12 +149,38 @@ def _cmd_rank(args, out):
             out.write(f"{v}\t{r}\n")
 
 
+def _cmd_security(args, out):
+    out.write(f"{trees.security(_read_tree_arg(args))}\n")
+
+
+def _cmd_protected(args, out):
+    out.write(f"{trees.protected_count(_read_tree_arg(args), args.level)}\n")
+
+
+def _cmd_partition(args, out):
+    vec = trees.partition_vector(_read_tree_arg(args))
+    out.write(" ".join(str(m) for m in vec) + "\n")
+
+
 def _cmd_normalize(args, out):
     tree = trees.canonical_form(_read_tree_arg(args))
     result, trace = rewrites.normalize_to_power_spine(tree)
     if args.trace and trace.steps:
         out.write(trace.to_text() + "\n")
     out.write(trees.serialize(result, canonical=True) + "\n")
+
+
+def _cmd_flip(args, out):
+    flipped = rewrites.flip_adjacent(_read_tree_arg(args), args.index, args.variant)
+    out.write(trees.serialize(flipped, canonical=True) + "\n")
+
+
+def _cmd_enumerate(args, out):
+    if args.count_only:
+        out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
+    else:
+        for text in exhaustive._shape_texts(args.leaves):
+            out.write(text + "\n")
 
 
 def _cmd_verify(args, out):
@@ -211,6 +236,10 @@ def _cmd_verify(args, out):
         out.write(f"OK: degree-{k} root rank = oracle for n={k + 1}..{n}\n")
 
 
+def _cmd_table(args, out):
+    out.write(exhaustive.census_tsv(exhaustive.census_table(args.max_leaves)))
+
+
 def _cmd_export(args, out):
     tree = _read_tree_arg(args)
     if args.format == "dot":
@@ -225,44 +254,11 @@ def _cmd_export(args, out):
         out.write(text + "\n")
 
 
-def _run(args, out):
-    cmd = args.command
-    if cmd == "build":
-        _cmd_build(args, out)
-    elif cmd == "rank":
-        _cmd_rank(args, out)
-    elif cmd == "security":
-        out.write(f"{trees.security(_read_tree_arg(args))}\n")
-    elif cmd == "protected":
-        out.write(f"{trees.protected_count(_read_tree_arg(args), args.level)}\n")
-    elif cmd == "partition":
-        vec = trees.partition_vector(_read_tree_arg(args))
-        out.write(" ".join(str(m) for m in vec) + "\n")
-    elif cmd == "normalize":
-        _cmd_normalize(args, out)
-    elif cmd == "flip":
-        tree = _read_tree_arg(args)
-        flipped = rewrites.flip_adjacent(tree, args.index, args.variant)
-        out.write(trees.serialize(flipped, canonical=True) + "\n")
-    elif cmd == "enumerate":
-        if args.count_only:
-            out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
-        else:
-            for text in exhaustive._shape_texts(args.leaves):
-                out.write(text + "\n")
-    elif cmd == "verify":
-        _cmd_verify(args, out)
-    elif cmd == "table":
-        out.write(exhaustive.census_tsv(exhaustive.census_table(args.max_leaves)))
-    elif cmd == "export":
-        _cmd_export(args, out)
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _run(args, sys.stdout)
+        args.run(args, sys.stdout)
     except SizeError as e:
         print(f"treesec: size guard: {e}", file=sys.stderr)
         return 2

@@ -177,27 +177,19 @@ def _refusal(rule, tree, ctx, ranks, nesting):
 
 
 def _spine_reinsert_edges(tree, ctx, ranks):
-    spine = []
-    v = tree.parent(ctx.u0)
-    while v is not None:
-        spine.append(v)
-        v = tree.parent(v)
+    # climb the root path above u0 to the first vertex that w1 does not
+    # outrank; w0 (keeping child w1) is spliced in below it, or becomes the
+    # new root if every root-path vertex outranks w1, and w takes w0's place
+    below = tree.parent(ctx.u0)
+    above = tree.parent(below)
+    while above is not None and ranks[above] > ranks[ctx.w1]:
+        below, above = above, tree.parent(above)
     wp = tree.parent(ctx.w0)
-    cut = None
-    for idx in range(1, len(spine)):
-        if ranks[spine[idx]] <= ranks[ctx.w1]:
-            cut = idx
-            break
-    if cut is None:
-        # every root-path vertex outranks w1: w0 becomes the new root
-        removed = ((ctx.w0, ctx.w), (wp, ctx.w0))
-        added = ((ctx.w0, spine[-1]), (wp, ctx.w))
-    else:
-        # splice w0 (keeping child w1) into the root path at the first
-        # vertex that w1 does not outrank; w takes w0's old place
-        below, above = spine[cut - 1], spine[cut]
-        removed = ((ctx.w0, ctx.w), (wp, ctx.w0), (above, below))
-        added = ((above, ctx.w0), (ctx.w0, below), (wp, ctx.w))
+    removed = ((ctx.w0, ctx.w), (wp, ctx.w0))
+    added = ((ctx.w0, below), (wp, ctx.w))
+    if above is not None:
+        removed += ((above, below),)
+        added = ((above, ctx.w0), *added)
     return removed, added
 
 
@@ -272,29 +264,28 @@ def spine_reinsert(tree, ctx):
     return _apply_rule("spine_reinsert", tree, ctx)
 
 
-def _hoist_edges(tree, sat):
+def _hoist_edges(arena):
     """One placement step toward the power-spine shape, or None at the fixed
-    point.  ``sat`` lists the tree's saturated (vertex, exponent) pairs in
-    any order; their exponents must be pairwise distinct."""
-    exponents = [m for _, m in sat]
-    if len(set(exponents)) != len(exponents):
+    point.  The exponents of the arena's saturated vertices must be pairwise
+    distinct."""
+    if arena.dup[arena.root]:
         raise GuardError("repeated partition exponents; normalize first")
-    s = tree.root
-    for u, _ in sorted(sat, key=lambda vm: vm[1]):
+    s = arena.root
+    for u, _ in sorted(arena.saturated(), key=lambda vm: vm[1]):
         if u == s:
             return None
-        p = tree.parent(u)
+        p = arena.parent(u)
         if p == s:
-            a, b = tree.children(s)
+            a, b = arena.children(s)
             s = b if a == u else a
             continue
         u0 = p
-        a, b = tree.children(u0)
+        a, b = arena.children(u0)
         u1 = b if a == u else a
-        up = tree.parent(u0)
+        up = arena.parent(u0)
         removed = [(up, u0), (u0, u1)]
         added = [(up, u1), (u0, s)]
-        ps = tree.parent(s)
+        ps = arena.parent(s)
         if ps is not None:
             removed.append((ps, s))
             added.append((ps, u0))
@@ -315,7 +306,7 @@ def hoist_min_saturated(tree):
     if the step would lower security.
     """
     arena = _Arena(tree)
-    edges = _hoist_edges(arena, list(arena.saturated()))
+    edges = _hoist_edges(arena)
     if edges is None:
         return tree
     _step(arena, "hoist_min_saturated", *edges)
@@ -393,25 +384,26 @@ class _Arena:
     """Private mutable copy of a proper binary tree for the switching and
     hoist rewrites.
 
-    Besides the parent links it keeps every vertex's two-element child list
-    in canonical order (ascending canonical text, the higher id first
-    between equal texts, as in :func:`canonical_order`) and, per vertex,
-    the rank, the complete height (-1 unless the subtree is complete
-    binary) and two bitmasks of the exponents of the saturated vertices in
-    the subtree (``mask``: those present, ``dup``: those present at least
-    twice), plus the running security.  :meth:`rewire` measures the union
-    of the root paths of the vertices whose children changed, each vertex
-    once and in walk order, and :meth:`saturated` walks the stored order
-    without comparing anything.  Like a :class:`RootedTree` it has a length
-    and exposes ``_parents``, ``root``, ``parent`` and ``children``, so the
-    switching and hoist helpers run on it unchanged.
+    Besides the parent links it keeps every internal vertex's two children
+    in a list in canonical order (ascending canonical text, the higher id
+    first between equal texts, as in :func:`canonical_order`; leaves share
+    the empty tuple) and, per vertex, the rank, the complete height (-1
+    unless the subtree is complete binary) and two bitmasks of the
+    exponents of the saturated vertices in the subtree (``mask``: those
+    present, ``dup``: those present at least twice), plus the running
+    security.  :meth:`rewire` measures the union of the root paths of the
+    vertices whose children changed, each vertex once and in walk order,
+    and :meth:`saturated` walks the stored order without comparing
+    anything.  Like a :class:`RootedTree` it has a length and exposes
+    ``_parents``, ``root``, ``parent`` and ``children``, so the switching
+    and hoist helpers run on it unchanged.
     """
 
     def __init__(self, tree):
         n = len(tree)
         self.root = tree.root
         self._parents = list(tree._parents)
-        self.kids = [list(k) for k in tree._child_lists()]
+        self.kids = [list(k) if k else k for k in tree._child_lists()]
         self.rank = [0] * n
         self.h = [0] * n
         self.mask = [1] * n
@@ -472,7 +464,7 @@ class _Arena:
         for p, c in removed:
             kids[p].remove(c)
         for p, c in added:
-            kids[p].append(c)
+            kids[p] = [*kids[p], c]  # never extend a leaf's shared tuple
         # Only the ancestors of a changed child list change.  Each walk
         # climbs from a changed parent to the root or to an earlier walk, so
         # measuring the walks last-first measures every vertex once, after
@@ -576,7 +568,7 @@ def normalize_to_power_spine(tree):
                 break
 
     while True:
-        edges = _hoist_edges(arena, list(arena.saturated()))
+        edges = _hoist_edges(arena)
         if edges is None:
             break
         apply("hoist_min_saturated", *edges)

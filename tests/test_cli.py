@@ -12,6 +12,13 @@ import pytest
 
 from treesec import exhaustive
 from treesec import (
+    GuardError,
+    build_almost_complete,
+    build_binary_caterpillar,
+    build_complete_binary,
+    build_complete_kary,
+    build_power_spine,
+    build_starlike,
     enumerate_shapes,
     export_dot,
     is_isomorphic,
@@ -272,6 +279,76 @@ class TestCommands:
         code, out, _ = run(capsys, "export", "--tree", FIG1, "--format", "dot", "--ranks")
         assert code == 0
         DotParser(out).parse()
+
+
+# every build family: the flags it reads, in the order they are checked, with
+# one valid value each, and the builder that those values reach
+BUILD_FAMILIES = [
+    ("tl", [("leaves", "7")], lambda: build_power_spine(7)),
+    ("f", [("leaves", "6")], lambda: build_almost_complete(6)),
+    ("complete", [("height", "3")], lambda: build_complete_binary(3)),
+    ("caterpillar", [("leaves", "5")], lambda: build_binary_caterpillar(5)),
+    ("starlike", [("arms", "2,1,3")], lambda: build_starlike([2, 1, 3])),
+    (
+        "complete-kary",
+        [("order", "13"), ("k", "3")],
+        lambda: build_complete_kary(13, 3),
+    ),
+]
+
+
+def _build_argv(family, flags):
+    argv = ["build", "--family", family]
+    for flag, value in flags:
+        argv += [f"--{flag}", value]
+    return argv
+
+
+class TestBuildFamilies:
+    @pytest.mark.parametrize("family,flags,build", BUILD_FAMILIES)
+    def test_valid_call_prints_the_builders_canonical_text(
+        self, capsys, family, flags, build
+    ):
+        code, out, err = run(capsys, *_build_argv(family, flags))
+        assert (code, err) == (0, "")
+        assert out == serialize(build(), canonical=True) + "\n"
+
+    @pytest.mark.parametrize("family,flags,build", BUILD_FAMILIES)
+    def test_each_missing_flag_is_named(self, capsys, family, flags, build):
+        for i, (flag, _) in enumerate(flags):
+            rest = flags[:i] + flags[i + 1 :]
+            code, out, err = run(capsys, *_build_argv(family, rest))
+            want = f"treesec: error: --{flag} is required for family {family}\n"
+            assert (code, out, err) == (1, "", want)
+
+    @pytest.mark.parametrize(
+        "family,flags,missing",
+        [
+            ("complete", [("leaves", "5")], "height"),
+            ("tl", [("height", "3"), ("arms", "1,2")], "leaves"),
+            ("starlike", [("leaves", "5")], "arms"),
+            ("starlike", [("arms", "")], "arms"),
+            ("complete-kary", [], "order"),
+        ],
+    )
+    def test_the_first_flag_missing_is_named(self, capsys, family, flags, missing):
+        # a flag of another family is no substitute, and empty arms are missing
+        code, out, err = run(capsys, *_build_argv(family, flags))
+        want = f"treesec: error: --{missing} is required for family {family}\n"
+        assert (code, out, err) == (1, "", want)
+
+    @pytest.mark.parametrize("arms", ["1,,2", "a", "1.5", "2,x"])
+    def test_arms_must_be_integers(self, capsys, arms):
+        code, out, err = run(capsys, "build", "--family", "starlike", "--arms", arms)
+        assert (code, out) == (1, "")
+        assert err == "treesec: error: --arms must be comma-separated integers\n"
+
+    def test_a_zero_value_reaches_the_builders_own_guard(self, capsys):
+        with pytest.raises(GuardError) as refused:
+            build_power_spine(0)
+        code, out, err = run(capsys, "build", "--family", "tl", "--leaves", "0")
+        assert (code, out) == (1, "")
+        assert err == f"treesec: error: {refused.value}\n"
 
 
 class TestTreeInputs:

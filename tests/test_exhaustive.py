@@ -23,11 +23,12 @@ from treesec import (
     flip_adjacent,
     max_security,
     maximizer_shapes,
+    parse,
     security,
     serialize,
 )
 from treesec.builders import binary_power_representation
-from oracles import rooted_tree_count, wedderburn_etherington
+from oracles import rank_by_distance, rooted_tree_count, wedderburn_etherington
 
 
 class TestShapeEnumeration:
@@ -214,6 +215,34 @@ class TestSecurityCensus:
                 for variant in (1, 2):
                     out = flip_adjacent(spine, i, variant)
                     assert serialize(out, canonical=True) in canons
+
+
+class TestMaximizerClass:
+    """Properties of the maximizer class, checked on the enumeration."""
+
+    @pytest.fixture(scope="class")
+    def maximizers(self):
+        return {n: list(maximizer_shapes(n)) for n in range(1, 23)}
+
+    def test_leaf_doubling_maps_maximizers_onto_maximizers(self, maximizers):
+        # a cherry in place of every leaf raises each old vertex's rank by one,
+        # so security by 2n - 1 = max_security(2n) - max_security(n); the
+        # doubling is done here only, so the enumeration stays the oracle
+        for n in range(1, 12):
+            doubled = [
+                serialize(parse(serialize(t).replace("L", "(LL)")), canonical=True)
+                for t in maximizers[n]
+            ]
+            want = [serialize(t, canonical=True) for t in maximizers[2 * n]]
+            assert sorted(doubled) == sorted(want), n
+
+    def test_root_ranks_follow_the_binary_digits(self, maximizers):
+        # with h = floor(log2 n): {j + 1 : bit j of n is 1, j < h} | {h}
+        for n in range(2, 23):
+            h = n.bit_length() - 1
+            want = {j + 1 for j in range(h) if n >> j & 1} | {h}
+            got = {rank_by_distance(t, t.root) for t in maximizers[n]}
+            assert got == want, n
 
 
 class TestCensusTable:

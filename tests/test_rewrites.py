@@ -330,7 +330,7 @@ class TestHoist:
     def test_a_hoist_that_lowers_security_is_refused(self, monkeypatch):
         # turn ((LL)(LL)) (security 4) into (L(L(LL))) (security 3)
         lowering = (((0, 1), (4, 5)), ((0, 5), (4, 1)))
-        monkeypatch.setattr(rewrites, "_hoist_edges", lambda tree, sat: lowering)
+        monkeypatch.setattr(rewrites, "_hoist_edges", lambda arena: lowering)
         with pytest.raises(
             GuardError, match="hoist_min_saturated lowered security from 4 to 3"
         ):
@@ -411,7 +411,7 @@ class TestNormalize:
     def test_a_step_that_lowers_security_is_refused(self, monkeypatch):
         # turn ((LL)(LL)) (security 4) into (L(L(LL))) (security 3)
         lowering = (((0, 1), (4, 5)), ((0, 5), (4, 1)))
-        monkeypatch.setattr(rewrites, "_hoist_edges", lambda tree, sat: lowering)
+        monkeypatch.setattr(rewrites, "_hoist_edges", lambda arena: lowering)
         with pytest.raises(GuardError, match="hoist_min_saturated lowered security"):
             normalize_to_power_spine(parse("((LL)(LL))"))
 
