@@ -196,7 +196,7 @@ def _cmd_verify(args, out):
         _require(k >= 2, "--kary arity must be at least 2")
         # the orders of the proper k-ary trees up to n
         kary_orders = range(1, n + 1, k)
-        exhaustive._kary_guard(kary_orders[-1], k)
+        exhaustive._kary_guard(kary_orders[-1], k, proper=True)
     if args.starlike:
         n, k = args.starlike
         _require(k >= 1, "--starlike degree must be at least 1")

@@ -23,10 +23,10 @@ keys and ``bytearray`` ranks and securities (whose ``append`` refuses a
 value over 255; at the guard they are at most 4 and 36), and streams level
 N: the output level is never stored.
 
-A bounded-outdegree shape is ``(canon, root_rank, max_rank, proper,
-degree)``: ``canon`` is the canonical text in that collation, as a string
-unique within a table, so tuple order is canonical order; ``proper`` says
-every outdegree is 0 or exactly the arity bound.
+A bounded-outdegree shape is ``(canon, root_rank, max_rank, degree)``:
+``canon`` is the canonical text in that collation, as a string unique within
+a table, so tuple order is canonical order.  Proper k-ary shapes (outdegrees
+0 or exactly k) are generated, not filtered: from proper levels, k at a time.
 
 The census counts come from :func:`_shape_classes`, a recurrence that
 counts the proper binary shapes of each leaf count by (root rank,
@@ -243,46 +243,49 @@ def census_tsv(rows):
     return "\n".join(lines) + "\n"
 
 
-_KLEAF = (_LEAF_KEY, 0, 0, True, 0)
+_KLEAF = (_LEAF_KEY, 0, 0, 0)
 
 
-def _kary_guard(n, k):
+def _kary_guard(n, k, proper=False):
     if n < 1:
         raise GuardError("order must be at least 1")
     if k is not None and k < 1:
         raise GuardError("arity must be at least 1")
     limit = {1: 64, 2: 14, 3: 12}.get(k, 11)
+    if proper and k:  # less its leaves, a proper shape is an at-most-k one, 1:1
+        limit = min(limit * k + 1, 67)  # k = 6's limit: every order is walked
     if n > limit:
         raise SizeError(f"order over enumeration guard ({limit} for this arity)")
 
 
-def _kid_multisets(total, cap, parts, levels):
-    """Multisets of at most ``parts`` child shapes, none of order above
-    ``cap``, whose orders sum to ``total``; each is a tuple of shapes drawn
-    from ``levels[order]``."""
-    if total == 0:
-        yield ()
-        return
+def _kid_multisets(total, cap, parts, levels, exact):
+    """Multisets of at most (with ``exact``, exactly) ``parts`` child shapes,
+    none of order above ``cap``, whose orders sum to ``total``; each is a
+    tuple of shapes drawn from ``levels[order]``."""
+    if total == 0 and (parts == 0 or not exact):
+        yield ()  # the loop below is empty at total 0
     for size in range(min(cap, total), 0, -1):
         if size * parts < total:
             break  # the parts left cannot hold the rest
         pool = levels[size]
+        if not pool:
+            continue
         for copies in range(1, total // size + 1):
             left = total - size * copies
-            rests = list(_kid_multisets(left, size - 1, parts - copies, levels))
+            rests = list(_kid_multisets(left, size - 1, parts - copies, levels, exact))
             for picks in combinations_with_replacement(pool, copies):
                 for rest in rests:
                     yield picks + rest
 
 
-def _kshapes(n, k):
-    """The shapes of order ``n`` with outdegrees at most ``k``, in canonical
-    order, from the tables of orders 1..n built for this call in generation
-    order."""
+def _kshapes(n, k, proper):
+    """The shapes of order ``n`` with outdegrees at most ``k`` (with
+    ``proper``, exactly 0 or k), in generation order, from the tables of
+    orders 1..n built for this call."""
     levels = [None, [_KLEAF]]
     for order in range(2, n + 1):
         level = []
-        for kids in _kid_multisets(order - 1, order - 1, k or order - 1, levels):
+        for kids in _kid_multisets(order - 1, order - 1, k or order - 1, levels, proper):
             kids = sorted(kids)
             root_rank = 1 + min(s[1] for s in kids)
             level.append(
@@ -290,26 +293,22 @@ def _kshapes(n, k):
                     _OPEN_KEY + "".join(s[0] for s in kids) + _CLOSE_KEY,
                     root_rank,
                     max(root_rank, *(s[2] for s in kids)),
-                    len(kids) == k and all(s[3] for s in kids),
                     len(kids),
                 )
             )
         levels.append(level)
-    levels[n].sort()
     return levels[n]
 
 
 def _kary_class(n, k, root_degree, proper):
-    """The shapes of order ``n`` with outdegrees at most ``k``, in canonical
-    order, kept to a root outdegree of ``root_degree`` (None = any) and, with
-    ``proper``, to outdegrees 0 or exactly k."""
-    _kary_guard(n, k)
+    """The shapes of order ``n`` with outdegrees at most ``k`` (with
+    ``proper``, exactly 0 or k), in generation order, kept to a root
+    outdegree of ``root_degree`` (None = any)."""
+    _kary_guard(n, k, proper)
     if proper and k is None:
         raise GuardError("proper enumeration needs an arity bound")
-    for shape in _kshapes(n, k):
-        if (root_degree is None or shape[4] == root_degree) and (
-            shape[3] or not proper
-        ):
+    for shape in _kshapes(n, k, proper):
+        if root_degree is None or shape[3] == root_degree:
             yield shape
 
 
@@ -320,7 +319,7 @@ def enumerate_kary_trees(n, k=None, proper=False):
     With ``proper=True`` (requires k), only trees whose outdegrees are all 0
     or exactly k are yielded; for some orders this class is empty.
     """
-    for shape in _kary_class(n, k, None, proper):
+    for shape in sorted(_kary_class(n, k, None, proper)):
         yield parse(shape[0].translate(_KEY_TEXT))
 
 

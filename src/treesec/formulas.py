@@ -109,10 +109,11 @@ def max_root_rank_starlike(order, k):
 
 
 def max_root_rank_kary(order, k):
-    """Maximum root rank over k-ary trees (outdegrees at most k) of the given
-    order: floor(log_k(order*(k-1)+1)) - 1, attained by the complete k-ary
-    tree.  Equivalently the value is h-1 exactly when
-    (k**h - 1)/(k-1) <= order < (k**(h+1) - 1)/(k-1).
+    """Maximum root rank over trees of the given order whose internal vertices
+    all have at least k children, as over the proper k-ary trees (outdegrees
+    0 or k, orders 1 mod k): floor(log_k(order*(k-1)+1)) - 1, the complete
+    k-ary tree's root rank.  Outdegrees at most k admit a path (order - 1).
+    The value is h-1 exactly when (k**h - 1)/(k-1) <= order < (k**(h+1) - 1)/(k-1).
     """
     if k < 2:
         raise GuardError("arity must be at least 2")

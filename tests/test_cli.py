@@ -246,7 +246,15 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "n,k,orders",
-        [(12, 3, [1, 4, 7, 10]), (14, 2, [1, 3, 5, 7, 9, 11, 13]), (1, 5, [1])],
+        [
+            (12, 3, [1, 4, 7, 10]),
+            (14, 2, [1, 3, 5, 7, 9, 11, 13]),
+            (1, 5, [1]),
+            # 37 is the last proper ternary order the guard admits; up to 30
+            # the last proper binary order is 29, the binary guard
+            (37, 3, list(range(1, 38, 3))),
+            (30, 2, list(range(1, 30, 2))),
+        ],
     )
     def test_verify_kary_checks_the_proper_orders(self, capsys, monkeypatch, n, k, orders):
         seen = []
@@ -430,8 +438,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--max-leaves", "8", "--kary", "13", "3"],
+            ["--max-leaves", "8", "--kary", "40", "3"],
             ["--kary", "12", "3", "--starlike", "12", "3"],
+            # the proper guard does not grow with the arity past k = 6
+            ["--kary", "1100001", "100000"],
         ],
     )
     def test_verify_root_rank_over_guard_refuses_before_any_work(
@@ -446,13 +456,13 @@ class TestExitCodes:
         assert code == 2 and "size guard" in err and out == ""
 
     def test_verify_kary_guards_the_last_proper_order(self, capsys, monkeypatch):
-        # 15 is the last proper binary order up to 16, one over the guard of 14
+        # 31 is a proper binary order, one over the guard of 29
         def fail(*args, **kwargs):
             raise AssertionError("a check ran before the order guard")
 
         monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
-        code, out, err = run(capsys, "verify", "--kary", "16", "2")
-        assert code == 2 and "(14 for this arity)" in err and out == ""
+        code, out, err = run(capsys, "verify", "--kary", "31", "2")
+        assert code == 2 and "(29 for this arity)" in err and out == ""
 
     def test_deep_json_input_is_a_size_refusal(self, capsys, monkeypatch):
         deep = '{"children": [' * 5000 + '{"children": []}' + "]}" * 5000

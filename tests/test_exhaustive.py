@@ -21,6 +21,7 @@ from treesec import (
     enumerate_kary_trees,
     enumerate_shapes,
     flip_adjacent,
+    max_root_rank_kary,
     max_security,
     maximizer_shapes,
     parse,
@@ -340,6 +341,62 @@ class TestBruteForceRootRank:
             brute_force_max_root_rank(6, k=2, proper=True)
         with pytest.raises(GuardError):
             brute_force_max_root_rank(3, root_degree=5)
+
+
+class TestProperKary:
+    """The proper k-ary class (outdegrees 0 or exactly k) is generated
+    directly and guarded on its internal vertices."""
+
+    # the at-most-k guard, which bounds the internal vertices of a proper shape
+    INTERNAL = {2: 14, 3: 12, 4: 11, 5: 11}
+
+    def test_deleting_the_leaves_gives_the_at_most_k_shapes(self):
+        # the leaves are stripped here only, never by the library
+        def stripped(t):
+            text = serialize(t).replace("L", "").replace("()", "L")
+            return serialize(parse(text), canonical=True)
+
+        for k, top in self.INTERNAL.items():
+            for i in range(1, top + 1):
+                proper = list(enumerate_kary_trees(i * k + 1, k, proper=True))
+                assert all(t.degree(v) in (0, k) for t in proper for v in range(len(t)))
+                want = sorted(map(serialize, enumerate_kary_trees(i, k)))
+                assert sorted(map(stripped, proper)) == want
+
+    def test_guard_is_on_the_internal_vertices(self):
+        # past k = 6 the guard stays at 67: the walk visits every order to n
+        limits = {k: top * k + 1 for k, top in self.INTERNAL.items()}
+        limits |= dict.fromkeys((6, 7, 1000, 100_000), 67)
+        for k, limit in limits.items():
+            top = enumerate_kary_trees(limit, k, proper=True)
+            assert all(t.degree(0) == k for t in top)
+            with pytest.raises(SizeError, match=f"[(]{limit} for this arity"):
+                list(enumerate_kary_trees(limit + 1, k, proper=True))
+
+    @pytest.mark.parametrize("n,k", [(15, 2), (13, 3), (21, 4), (31, 5), (43, 6)])
+    def test_root_rank_steps_are_reached(self, n, k):
+        got = brute_force_max_root_rank(n, k, proper=True)
+        want = max_root_rank_kary(n, k).value
+        assert got.max_root_rank == got.max_vertex_rank == want >= 2
+        # n is where the formula steps: the proper order below is one lower
+        below = brute_force_max_root_rank(n - k, k, proper=True)
+        assert below.max_root_rank == want - 1
+
+    def test_formula_is_the_maximum_over_at_least_k_children(self):
+        # over outdegrees at most k the formula fails from order 2 on (the
+        # path), but it is the maximum over the trees whose internal
+        # vertices have at least k children, wherever there are any
+        for k in (2, 3, 4):
+            for n in range(1, 12):
+                want = max_root_rank_kary(n, k).value
+                at_most = brute_force_max_root_rank(n, k).max_root_rank
+                assert (at_most == want) == (n == 1)
+                ranks = [
+                    rank_by_distance(t, t.root)
+                    for t in enumerate_kary_trees(n)
+                    if all(t.degree(v) == 0 or t.degree(v) >= k for v in range(n))
+                ]
+                assert max(ranks, default=None) == (None if 1 < n <= k else want)
 
 
 class TestKaryPinned:
