@@ -10,18 +10,26 @@ output, by one sort of the output level.  A shape's key is its canonical
 text, so trees come from :func:`treesec.trees.parse` alone and the
 canonical ids are parse's preorder ids.
 
-A proper binary shape is ``(key, rank, security)``.  ``key`` is the
+A proper binary level is stored by root rank: :func:`_bshapes` makes
+``secs[n][r]``, a ``bytearray`` with one security byte per n-leaf shape of
+root rank r, so a shape's rank is its group's index.  :func:`_blocks` walks
+a level as blocks: each shape x of a level a <= n / 2 with one rank group
+of level n - a (from x's own index on where the halves are equal).  Every
+pair in a block has root rank ``min(rx, ry) + 1``, so the block's
+securities are one ``bytes.translate`` of the partners' bytes that adds x's
+security and that rank (mod 256; at the guard no security plus rank
+exceeds 36 + 4).  Nothing in that pass makes a key.  :func:`_bkeys` walks
+the same blocks in the same order to make keys, so ``keys[n][r][j]`` is the
+shape of security ``secs[n][r][j]``; only the functions that output shapes
+run it, and :func:`maximizer_shapes` makes top-level keys only for the
+shapes of the best security, found with ``bytearray.find``.  A key is the
 canonical text in the collation keys of ``trees`` (``)`` = 0, ``L`` = 1,
 ``(`` = 2) read as hexadecimal digits and left-aligned in
 ``3 * MAX_ENUM_LEAVES - 2`` digits, the longest text the guard admits.
 Canonical texts are prefix-free, so integer order is canonical order, and
 an a-leaf text has 3a - 2 characters, so ``(AB)`` is ``OPEN + (key(A) >>
 4) + (key(B) >> 4 * (3a - 1))`` with ``OPEN`` the digit 2 in the top
-place.  :func:`_pairs` yields the shapes of one leaf count from the levels
-below it.  :func:`_bshapes` stores levels 1..N-1 in columns, a list of
-keys and ``bytearray`` ranks and securities (whose ``append`` refuses a
-value over 255; at the guard they are at most 4 and 36), and streams level
-N: the output level is never stored.
+place.
 
 A bounded-outdegree shape is ``(canon, root_rank, max_rank, degree)``:
 ``canon`` is the canonical text in that collation, as a string unique within
@@ -34,15 +42,15 @@ security), keyed on raw security and taking nothing from
 :mod:`treesec.formulas`; :func:`count_shapes` and :func:`census_table` read
 it.  ``verify`` and every function that yields shapes measure the
 enumeration instead, so enumeration stays the oracle for the closed forms
-and the recurrence.  No table outlives its call, and ``verify`` measures
-all its leaf counts on one build through :func:`_brute_force_rows`.
+and the recurrence.  No table outlives its call; ``verify`` measures all
+its leaf counts on one build through :func:`_brute_force_rows`, and all
+the orders of one root-rank check on one :func:`_kshapes` build.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement
 
 from .errors import GuardError, SizeError
 from .trees import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY, parse
@@ -78,50 +86,71 @@ def _leaf_guard(leaves):
         raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
 
 
-def _pairs(levels, n):
-    """Yield ``(key, rank, security)`` for every n-leaf shape: the leaf, or
-    every unordered pair of shapes from ``levels[1..n-1]``."""
-    if n == 1:
-        yield _BLEAF, 0, 0
+def _blocks(secs, n):
+    """Walk the n-leaf shapes as blocks: for each shape x of a level a <= n / 2
+    and each rank group of level n - a, x paired with that group, from x's own
+    index on where the halves are equal.  Yields ``(a, rx, i, ry, start,
+    rank, sx)``: x is ``secs[a][rx][i]`` of security ``sx``, the partners are
+    ``secs[n - a][ry][start:]`` and every pair has root rank ``rank``."""
     for a in range(1, n // 2 + 1):
-        small, big = levels[a], levels[n - a]
-        shift_x, shift_y = 4 * (3 * a - 1), 4 * (3 * (n - a) - 1)
-        for i, (kx, rx, sx) in enumerate(zip(*small)):
-            head = _BOPEN + (kx >> 4)
-            for ky, ry, sy in zip(*(c[i:] for c in small) if big is small else big):
-                rank = (rx if rx < ry else ry) + 1
-                if kx < ky:
-                    yield head + (ky >> shift_x), rank, sx + sy + rank
-                else:
-                    yield _BOPEN + (ky >> 4) + (kx >> shift_y), rank, sx + sy + rank
+        b = n - a
+        for rx, xs in enumerate(secs[a]):
+            for i, sx in enumerate(xs):
+                for ry in range(rx if a == b else 0, len(secs[b])):
+                    rank = (rx if rx < ry else ry) + 1
+                    yield a, rx, i, ry, i if a == b and ry == rx else 0, rank, sx
 
 
 def _bshapes(leaves):
-    """The columns of levels 1..``leaves`` - 1, built for this call, and a
-    stream of the ``leaves``-leaf shapes that pairs them."""
+    """The securities of levels 1..``leaves``, built for this call:
+    ``secs[n][r]`` holds one byte per n-leaf shape of root rank r."""
     _leaf_guard(leaves)
-    levels = [None]
-    for n in range(1, leaves):
-        keys, ranks, secs = level = ([], bytearray(), bytearray())
-        for key, rank, sec in _pairs(levels, n):
-            keys.append(key)
-            ranks.append(rank)
-            secs.append(sec)
-        levels.append(level)
-    return levels, _pairs(levels, leaves)
+    # shifts[c] adds c to a byte (mod 256, which no stored security nears),
+    # so the securities of a block are one translate of its partners'
+    ring = bytes(range(256)) * 2
+    shifts = [ring[c : c + 256] for c in range(256)]
+    secs = [None, [bytearray(1)]]
+    for n in range(2, leaves + 1):
+        level = [bytearray() for _ in range(n.bit_length())]
+        for a, _, _, ry, start, rank, sx in _blocks(secs, n):
+            level[rank] += secs[n - a][ry][start:].translate(shifts[sx + rank])
+        secs.append(level)
+    return secs
+
+
+def _joined(kx, kys, a, n):
+    """The keys of the n-leaf pairs of the a-leaf key ``kx`` with each of
+    ``kys``, in their order."""
+    head, shift_x, shift_y = _BOPEN + (kx >> 4), 4 * (3 * a - 1), 4 * (3 * (n - a) - 1)
+    return [
+        head + (ky >> shift_x) if kx < ky else _BOPEN + (ky >> 4) + (kx >> shift_y)
+        for ky in kys
+    ]
+
+
+def _bkeys(secs, top):
+    """The keys of levels 1..``top`` by the same walk as ``secs``, so
+    ``keys[n][r][j]`` is the shape whose security is ``secs[n][r][j]``."""
+    keys = [None, [[_BLEAF]]]
+    for n in range(2, top + 1):
+        level = [[] for _ in secs[n]]
+        for a, rx, i, ry, start, rank, _ in _blocks(secs, n):
+            level[rank] += _joined(keys[a][rx][i], keys[n - a][ry][start:], a, n)
+        keys.append(level)
+    return keys
 
 
 def _texts(keys, leaves):
-    """The canonical texts of the ``leaves``-leaf ``keys``, sorted in place."""
-    keys.sort()
+    """The canonical texts of the ``leaves``-leaf ``keys``, sorted."""
     cut = 3 * leaves - 2
-    for key in keys:
+    for key in sorted(keys):
         yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
 
 
 def _shape_texts(leaves):
     """Canonical texts of the ``leaves``-leaf shapes, in canonical order."""
-    return _texts([key for key, _, _ in _bshapes(leaves)[1]], leaves)
+    secs = _bshapes(leaves)
+    return _texts(chain.from_iterable(_bkeys(secs, leaves)[leaves]), leaves)
 
 
 def enumerate_shapes(leaves):
@@ -172,11 +201,9 @@ class ShapeCensus:
     maximizer_fraction: Fraction
 
 
-def _census_row(leaves, by_security):
-    """The census row of one leaf count from its ``{security: count}``."""
-    total = sum(by_security.values())
-    best = max(by_security)
-    count = by_security[best]
+def _census_row(leaves, total, best, count):
+    """The census row of one leaf count: ``total`` shapes, of which
+    ``count`` have the best security ``best``."""
     return ShapeCensus(
         leaf_count=leaves,
         total_shapes=total,
@@ -186,13 +213,27 @@ def _census_row(leaves, by_security):
     )
 
 
+def _bests(secs):
+    """Yield the best security of each level of ``secs``, from 1 leaf up.
+    No pair beats the two best halves under the highest root rank, so the
+    search steps down from that bound, one byte search per value."""
+    bests = [None]
+    for n, level in enumerate(secs[1:], 1):
+        halves = (bests[a] + bests[n - a] for a in range(1, n // 2 + 1))
+        best = max(halves, default=0) + len(level) - 1
+        while not any(best in group for group in level):
+            best -= 1
+        bests.append(best)
+        yield best
+
+
 def _brute_force_rows(max_leaves):
     """The brute-force census rows of 1..``max_leaves`` leaves, measured on
-    one build of the shape tables."""
-    levels, top = _bshapes(max_leaves)
-    for leaves, (_, _, secs) in enumerate(levels[1:], 1):
-        yield _census_row(leaves, Counter(secs))
-    yield _census_row(max_leaves, Counter(map(itemgetter(2), top)))
+    one build of the security tables."""
+    secs = _bshapes(max_leaves)
+    for leaves, (level, best) in enumerate(zip(secs[1:], _bests(secs)), 1):
+        count = sum(group.count(best) for group in level)
+        yield _census_row(leaves, sum(map(len, level)), best, count)
 
 
 def brute_force_extremes(leaves):
@@ -202,17 +243,29 @@ def brute_force_extremes(leaves):
     return row
 
 
+def _maximizer_keys(leaves):
+    """The keys of the ``leaves``-leaf shapes of the best security, which is
+    measured on the level before any key of it is made."""
+    secs = _bshapes(leaves)
+    *_, best = _bests(secs)
+    keys = _bkeys(secs, leaves - 1)
+    found = [_BLEAF] if leaves == 1 else []
+    for a, rx, i, ry, start, rank, sx in _blocks(secs, leaves):
+        want, ys = best - sx - rank, secs[leaves - a][ry]
+        j = ys.find(want, start) if want >= 0 else -1
+        picks = []
+        while j >= 0:
+            picks.append(keys[leaves - a][ry][j])
+            j = ys.find(want, j + 1)
+        found += _joined(keys[a][rx][i], picks, a, leaves)
+    return found
+
+
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
-    order (streamed; only the keys of the best security so far are kept).
-    The best security is measured on the same enumerated level."""
-    best, keys = -1, []
-    for key, _, sec in _bshapes(leaves)[1]:
-        if sec > best:
-            best, keys = sec, []
-        if sec == best:
-            keys.append(key)
-    for text in _texts(keys, leaves):
+    order.  The best security is measured on the same enumerated level, and
+    keys are made there only for the shapes that attain it."""
+    for text in _texts(_maximizer_keys(leaves), leaves):
         yield parse(text)
 
 
@@ -227,7 +280,10 @@ def census_table(max_leaves):
         by_security = Counter()
         for (_, sec), count in classes.items():
             by_security[sec] += count
-        rows.append(_census_row(leaves, by_security))
+        best = max(by_security)
+        rows.append(
+            _census_row(leaves, sum(by_security.values()), best, by_security[best])
+        )
     return rows
 
 
@@ -279,9 +335,9 @@ def _kid_multisets(total, cap, parts, levels, exact):
 
 
 def _kshapes(n, k, proper):
-    """The shapes of order ``n`` with outdegrees at most ``k`` (with
-    ``proper``, exactly 0 or k), in generation order, from the tables of
-    orders 1..n built for this call."""
+    """The levels of orders 1..``n``, built for this call: ``levels[m]``
+    holds the shapes of order m with outdegrees at most ``k`` (with
+    ``proper``, exactly 0 or k), in generation order."""
     levels = [None, [_KLEAF]]
     for order in range(2, n + 1):
         level = []
@@ -297,17 +353,20 @@ def _kshapes(n, k, proper):
                 )
             )
         levels.append(level)
-    return levels[n]
+    return levels
 
 
-def _kary_class(n, k, root_degree, proper):
+def _kary_class(n, k, root_degree, proper, levels=None):
     """The shapes of order ``n`` with outdegrees at most ``k`` (with
     ``proper``, exactly 0 or k), in generation order, kept to a root
-    outdegree of ``root_degree`` (None = any)."""
+    outdegree of ``root_degree`` (None = any); read from ``levels`` when
+    given, else from a build of order n."""
     _kary_guard(n, k, proper)
     if proper and k is None:
         raise GuardError("proper enumeration needs an arity bound")
-    for shape in _kshapes(n, k, proper):
+    if levels is None:
+        levels = _kshapes(n, k, proper)
+    for shape in levels[n]:
         if root_degree is None or shape[3] == root_degree:
             yield shape
 
@@ -332,14 +391,19 @@ class RootRankExtremes:
     trees_scanned: int
 
 
-def brute_force_max_root_rank(n, k=None, root_degree=None, proper=False):
+def brute_force_max_root_rank(
+    n, k=None, root_degree=None, proper=False, *, levels=None
+):
     """Exhaustive maxima of (a) the root rank and (b) the rank over all
     vertices, across trees of order ``n`` with outdegrees at most ``k``;
     with ``root_degree`` set, only trees whose root has that outdegree
     count, and with ``proper=True`` only outdegrees 0 and exactly k occur
     (the class the k-ary root-rank formula is exact for).  For the classes
-    without a root-degree restriction the two maxima agree."""
-    shapes = list(_kary_class(n, k, root_degree, proper))
+    without a root-degree restriction the two maxima agree.
+
+    ``levels``, the result of one ``_kshapes`` build of order n or above
+    with the same k and ``proper``, lets several orders share that build."""
+    shapes = list(_kary_class(n, k, root_degree, proper, levels))
     if not shapes:
         raise GuardError("no trees of this order in the requested class")
     return RootRankExtremes(

@@ -269,6 +269,24 @@ class TestCommands:
         assert code == 0 and seen == orders
         assert out == f"OK: k-ary root rank = oracle for n=1..{n}, k={k}\n"
 
+    def test_verify_builds_each_root_rank_table_once(self, capsys, monkeypatch):
+        # --kary builds its last proper order, --starlike its order n
+        calls = []
+        build = exhaustive._kshapes
+
+        def spy(n, k, proper):
+            calls.append((n, k, proper))
+            return build(n, k, proper)
+
+        monkeypatch.setattr(exhaustive, "_kshapes", spy)
+        argv = ["verify", "--kary", "12", "3", "--starlike", "11", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and calls == [(10, 3, True), (11, None, False)]
+        assert out == (
+            "OK: k-ary root rank = oracle for n=1..12, k=3\n"
+            "OK: degree-3 root rank = oracle for n=4..11\n"
+        )
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", "--max-leaves", "7")
         assert code == 0
@@ -532,6 +550,14 @@ class TestCensusPaths:
         assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
         assert calls == [20]
 
+    def test_verify_makes_no_keys(self, capsys, monkeypatch):
+        def fail(secs, top):
+            raise AssertionError(f"the keys of 1..{top} leaves were made")
+
+        monkeypatch.setattr(exhaustive, "_bkeys", fail)
+        code, out, _ = run(capsys, "verify", "--max-leaves", "20")
+        assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
+
 
 class TestPinnedOutputs:
     """sha256 of the census commands' stdout, pinned so that a change to
@@ -612,14 +638,15 @@ def test_census_counts_stay_small(argv):
     "argv,limit_mb",
     [
         (["verify", "--max-leaves", "20"], 45),
-        (["verify", "--max-leaves", "22"], 150),
+        (["verify", "--max-leaves", "22"], 40),
         (["enumerate", "--leaves", "20"], 65),
     ],
     ids=["verify-20", "verify-22", "enumerate-20"],
 )
 def test_shape_tables_stay_small(argv, limit_mb):
-    # the output level is streamed: storing it as well took about 85, 376
-    # and 84 MB
+    # verify stores one security byte per shape and makes no key (with the
+    # keys of 1..21 leaves stored, 22 leaves took about 101 MB); enumerate
+    # keeps the keys of its levels and sorts only its output level
     code, peak_mb = _peak_rss_mb(argv)
     assert code == 0
     assert peak_mb < limit_mb

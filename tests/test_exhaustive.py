@@ -102,12 +102,13 @@ class TestShapeClasses:
     @pytest.fixture(scope="class")
     def enumerated(self):
         """``{(rank, security): count}`` of every leaf count to the guard,
-        from one build of the shape tables: the stored columns of the lower
-        levels and the streamed top level; the tables themselves are dropped
-        on return."""
-        levels, top = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
-        stored = [Counter(zip(ranks, secs)) for _, ranks, secs in levels[1:]]
-        return [None, *stored, Counter((rank, sec) for _, rank, sec in top)]
+        from one build of the security tables, whose groups are indexed by
+        root rank; the tables themselves are dropped on return."""
+        secs = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
+        return [None] + [
+            Counter((rank, sec) for rank, group in enumerate(level) for sec in group)
+            for level in secs[1:]
+        ]
 
     def test_recurrence_equals_the_enumeration(self, enumerated):
         top = exhaustive.MAX_ENUM_LEAVES
@@ -122,6 +123,15 @@ class TestShapeClasses:
         assert h.hexdigest() == (
             "7222ade403a60b626751715735523c35ada0139184193815f4ed1fb40f33c03f"
         )
+
+    def test_securities_stay_within_a_byte(self):
+        # a block's securities are its partners' plus one byte, added by
+        # ``bytes.translate``, which wraps past 255 where ``append`` raised:
+        # the recurrence bounds every stored security and rank at the guard
+        classes = exhaustive._shape_classes(exhaustive.MAX_ENUM_LEAVES)[1:]
+        top_rank = max(rank for level in classes for rank, _ in level)
+        top_security = max(sec for level in classes for _, sec in level)
+        assert top_security + top_rank < 256  # 36 + 4 at 22 leaves
 
     def test_counts_build_no_shape_table(self, monkeypatch):
         def fail(leaves):
@@ -335,6 +345,21 @@ class TestBruteForceRootRank:
     def test_bounded_class_includes_paths(self):
         got = brute_force_max_root_rank(7, k=2)
         assert got.max_root_rank == 6
+
+    @pytest.mark.parametrize(
+        "k,root_degree,proper",
+        [(None, None, False), (None, 3, False), (2, None, False), (3, None, True)],
+    )
+    def test_orders_share_one_build(self, k, root_degree, proper):
+        def extremes(n, **kwargs):
+            try:
+                return brute_force_max_root_rank(n, k, root_degree, proper, **kwargs)
+            except GuardError as e:
+                return str(e)
+
+        levels = exhaustive._kshapes(10, k, proper)
+        for n in range(1, 11):
+            assert extremes(n, levels=levels) == extremes(n)
 
     def test_empty_class(self):
         with pytest.raises(GuardError):
