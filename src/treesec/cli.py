@@ -7,11 +7,13 @@ byte-deterministic for fixed inputs.
 
 import argparse
 import sys
+from itertools import islice
 
 from . import builders, exhaustive, formulas, rewrites, trees
 from .errors import GuardError, ParseError, SizeError
 
 __all__ = ["main"]
+_LISTING_BLOCK = 4096  # lines per write of the enumerate listing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,8 +181,10 @@ def _cmd_enumerate(args, out):
     if args.count_only:
         out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
     else:
-        for text in exhaustive._shape_texts(args.leaves):
-            out.write(text + "\n")
+        # blocks of lines, so an unbuffered stdout is not one syscall per shape
+        texts = exhaustive._shape_texts(args.leaves)
+        while block := "\n".join(islice(texts, _LISTING_BLOCK)):
+            out.write(block + "\n")
 
 
 def _root_rank_checks(orders, k=None, proper=False, root_degree=None):

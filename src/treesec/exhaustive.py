@@ -47,9 +47,7 @@ its leaf counts on one build through :func:`_brute_force_rows`, and all
 the orders of one root-rank check on one :func:`_kshapes` build.
 """
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from itertools import chain, combinations_with_replacement
 
 from .errors import GuardError, SizeError
@@ -190,20 +188,23 @@ def count_shapes(leaves):
     return sum(_shape_classes(leaves)[leaves].values())
 
 
-@dataclass(frozen=True)
-class ShapeCensus:
-    """Exhaustive security census over one leaf count."""
+class ShapeCensus(
+    namedtuple(
+        "ShapeCensus",
+        "leaf_count total_shapes max_security maximizer_count maximizer_fraction",
+    )
+):
+    """Exhaustive security census over one leaf count; the fraction is a
+    :class:`fractions.Fraction`."""
 
-    leaf_count: int
-    total_shapes: int
-    max_security: int
-    maximizer_count: int
-    maximizer_fraction: Fraction
+    __slots__ = ()
 
 
 def _census_row(leaves, total, best, count):
     """The census row of one leaf count: ``total`` shapes, of which
     ``count`` have the best security ``best``."""
+    from fractions import Fraction
+
     return ShapeCensus(
         leaf_count=leaves,
         total_shapes=total,
@@ -382,13 +383,12 @@ def enumerate_kary_trees(n, k=None, proper=False):
         yield parse(shape[0].translate(_KEY_TEXT))
 
 
-@dataclass(frozen=True)
-class RootRankExtremes:
+class RootRankExtremes(
+    namedtuple("RootRankExtremes", "max_root_rank max_vertex_rank trees_scanned")
+):
     """Brute-force root-rank maxima over one enumerated class of trees."""
 
-    max_root_rank: int
-    max_vertex_rank: int
-    trees_scanned: int
+    __slots__ = ()
 
 
 def brute_force_max_root_rank(

@@ -4,7 +4,7 @@ All logarithms are evaluated with exact integer arithmetic (bit length and
 repeated multiplication); no floating point is involved anywhere.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .builders import LEAF_RANGE, binary_power_representation
 from .errors import GuardError, SizeError
@@ -82,11 +82,10 @@ def complete_binary_security(height):
     return (1 << (height + 1)) - height - 2
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "value")):
     """A closed-form maximum."""
 
-    value: int
+    __slots__ = ()
 
 
 def max_root_rank_general(order):

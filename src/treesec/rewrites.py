@@ -18,7 +18,7 @@ preserved by every switching/hoist rewrite, so the edge pairs recorded in a
 :class:`RewriteTrace` refer to the input tree's ids throughout.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .builders import _spine_parents, binary_power_representation, build_power_spine
@@ -40,17 +40,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwitchContext:
+class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
     """The two saturated vertices of a switching rewrite, with their parents
     (u0, w0) and siblings (u1, w1)."""
 
-    u: int
-    w: int
-    u0: int
-    w0: int
-    u1: int
-    w1: int
+    __slots__ = ()
 
     @classmethod
     def for_pair(cls, tree, u, w):
@@ -313,23 +307,21 @@ def hoist_min_saturated(tree):
     return RootedTree(arena._parents)
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(
+    namedtuple(
+        "RewriteStep", "rule edges_removed edges_added security_before security_after"
+    )
+):
     """One applied rewrite: rule name, edge surgery, and the security on
     both sides (never decreasing)."""
 
-    rule: str
-    edges_removed: tuple
-    edges_added: tuple
-    security_before: int
-    security_after: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(namedtuple("RewriteTrace", "steps")):
     """Ordered record of the rewrites applied by a normalization run."""
 
-    steps: tuple
+    __slots__ = ()
 
     def to_text(self):
         """Line-oriented log, one step per line."""

@@ -20,9 +20,7 @@ ignored; any other stray character is a parse error.  A JSON form
 :func:`tree_from_json` and by :func:`read_tree`, which sniffs the format.
 """
 
-import json
-import string
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GuardError, ParseError, SizeError
 
@@ -45,6 +43,8 @@ __all__ = [
     "saturated_vertices",
     "partition_vector",
 ]
+
+_WHITESPACE = " \t\n\r\x0b\x0c"  # string.whitespace
 
 
 class RootedTree:
@@ -194,13 +194,13 @@ def parse(text):
             top = parents[top]
             if top < 0:
                 break
-        elif c not in string.whitespace:
+        elif c not in _WHITESPACE:
             raise ParseError(f"stray character {c!r}", i)
     else:
         if parents:
             raise ParseError("unbalanced '('", len(text))
         raise ParseError("empty input", 0)
-    rest = text[i + 1 :].lstrip(string.whitespace)
+    rest = text[i + 1 :].lstrip(_WHITESPACE)
     if rest:
         raise ParseError("trailing content after the tree", len(text) - len(rest))
     return RootedTree._make(parents)
@@ -236,10 +236,14 @@ def read_tree(text):
     """Parse a tree given either as parenthesis text or as JSON."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
+
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+        except ValueError:  # an integer longer than int() converts
+            raise SizeError("JSON integer over the digit limit") from None
         except RecursionError:
             raise SizeError("JSON nesting over the recursion limit") from None
         return tree_from_json(obj)
@@ -418,15 +422,15 @@ def is_isomorphic(a, b):
     return _canonical(a)[0] == _canonical(b)[0]
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(
+    namedtuple(
+        "ShapeReport",
+        "leaf_count height is_proper_binary is_complete_binary outdegree_sequence",
+    )
+):
     """Shape summary produced by :func:`classify`."""
 
-    leaf_count: int
-    height: int
-    is_proper_binary: bool
-    is_complete_binary: bool
-    outdegree_sequence: tuple
+    __slots__ = ()
 
 
 def classify(tree):

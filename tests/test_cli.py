@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -5,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
-from treesec import exhaustive
+from treesec import cli, exhaustive, formulas, rewrites, trees
 from treesec import (
     GuardError,
     build_almost_complete,
@@ -493,6 +495,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "export", "--format", "json", "--tree", deep)
         assert code == 2 and err.startswith("treesec: size guard:") and out == ""
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_overlong_json_integer_is_a_size_refusal(self, capsys):
+        # json.loads raises a plain ValueError past int()'s digit limit
+        text = '{"children": [], "x": ' + "1" * 5000 + "}"
+        code, out, err = run(capsys, "security", "--tree", text)
+        assert (code, out) == (2, "")
+        assert err == "treesec: size guard: JSON integer over the digit limit\n"
+
     @pytest.mark.parametrize("name", ["missing.txt", "a-directory", "latin1.txt"])
     def test_unreadable_file_is_one(self, capsys, tmp_path, name):
         (tmp_path / "a-directory").mkdir()
@@ -669,6 +681,106 @@ def test_package_imports_only_the_standard_library():
     imported = set(result.stdout.split())
     assert "treesec" in imported
     assert imported - {"treesec"} <= sys.stdlib_module_names
+
+
+def test_package_import_skips_the_modules_it_does_not_need():
+    # a fresh interpreter without site, so that nothing else loads them:
+    # dataclasses pulls in inspect, and json and fractions are imported
+    # where they are used
+    probe = "import sys, treesec, treesec.cli; print(*sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = set(result.stdout.split())
+    assert "treesec.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "fractions"}
+
+
+class _Writes:
+    """An ``out`` that keeps each ``write``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+class TestListingBlocks:
+    @pytest.mark.parametrize("leaves", range(1, 18))
+    def test_listing_is_written_in_blocks(self, leaves):
+        out = _Writes()
+        cli._cmd_enumerate(argparse.Namespace(leaves=leaves, count_only=False), out)
+        want = "".join(t + "\n" for t in exhaustive._shape_texts(leaves))
+        assert "".join(out.calls) == want
+        blocks = -(-exhaustive.count_shapes(leaves) // cli._LISTING_BLOCK)
+        assert len(out.calls) <= blocks
+
+    def test_unbuffered_stdout_prints_the_same_bytes(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        outs = []
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            result = subprocess.run(
+                [sys.executable, "-m", "treesec.cli", "enumerate", "--leaves", "12"],
+                capture_output=True,
+                check=True,
+                env={**env, **extra},
+            )
+            outs.append(result.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\n") == exhaustive.count_shapes(12)
+
+
+# each result record, its field names and one value per field
+RECORDS = [
+    (
+        trees.ShapeReport,
+        "leaf_count height is_proper_binary is_complete_binary outdegree_sequence",
+        (3, 2, True, False, (0, 0, 0, 2, 2)),
+    ),
+    (
+        exhaustive.ShapeCensus,
+        "leaf_count total_shapes max_security maximizer_count maximizer_fraction",
+        (7, 11, 8, 4, Fraction(4, 11)),
+    ),
+    (
+        exhaustive.RootRankExtremes,
+        "max_root_rank max_vertex_rank trees_scanned",
+        (2, 3, 40),
+    ),
+    (formulas.BoundReport, "value", (5,)),
+    (rewrites.SwitchContext, "u w u0 w0 u1 w1", (3, 6, 1, 2, 4, 5)),
+    (
+        rewrites.RewriteStep,
+        "rule edges_removed edges_added security_before security_after",
+        ("hoist_min_saturated", ((0, 1),), ((2, 1),), 4, 5),
+    ),
+    (rewrites.RewriteTrace, "steps", ((),)),
+]
+
+
+@pytest.mark.parametrize(
+    "record,names,values", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_result_records_keep_their_fields_and_stay_immutable(record, names, values):
+    names = names.split()
+    by_position = record(*values)
+    by_keyword = record(**dict(zip(names, values)))
+    assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+    assert [getattr(by_keyword, name) for name in names] == list(values)
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+    assert repr(by_position) == f"{record.__name__}({fields})"
+    for name in [*names, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, 0)
+    assert record.__doc__
 
 
 def test_package_exports_the_union_of_the_modules_public_names():

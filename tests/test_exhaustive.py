@@ -21,9 +21,11 @@ from treesec import (
     enumerate_kary_trees,
     enumerate_shapes,
     flip_adjacent,
+    is_isomorphic,
     max_root_rank_kary,
     max_security,
     maximizer_shapes,
+    normalize_to_power_spine,
     parse,
     security,
     serialize,
@@ -254,6 +256,21 @@ class TestMaximizerClass:
             want = {j + 1 for j in range(h) if n >> j & 1} | {h}
             got = {rank_by_distance(t, t.root) for t in maximizers[n]}
             assert got == want, n
+
+    def test_normalization_takes_only_zero_gain_steps(self, maximizers):
+        # a maximizer has no security to gain, so every step keeps the
+        # maximum, and the normalizer still ends at the power spine
+        count = steps = 0
+        for n in range(2, 23):
+            spine = build_power_spine(n)
+            for t in maximizers[n]:
+                result, trace = normalize_to_power_spine(t)
+                for s in trace.steps:
+                    assert s.security_before == s.security_after == max_security(n)
+                assert is_isomorphic(result, spine), n
+                count += 1
+                steps += len(trace.steps)
+        assert count == 86 and steps > 0  # not every maximizer is a spine
 
 
 class TestCensusTable:
