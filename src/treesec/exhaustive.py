@@ -12,17 +12,16 @@ canonical ids are parse's preorder ids.
 
 A proper binary level is stored by root rank: :func:`_bshapes` makes
 ``secs[n][r]``, a ``bytearray`` with one security byte per n-leaf shape of
-root rank r, so a shape's rank is its group's index.  :func:`_blocks` walks
-a level as blocks: each shape x of a level a <= n / 2 with one rank group
-of level n - a (from x's own index on where the halves are equal).  Every
-pair in a block has root rank ``min(rx, ry) + 1``, so the block's
-securities are one ``bytes.translate`` of the partners' bytes that adds x's
-security and that rank (mod 256; at the guard no security plus rank
-exceeds 36 + 4).  Nothing in that pass makes a key.  :func:`_bkeys` walks
-the same blocks in the same order to make keys, so ``keys[n][r][j]`` is the
-shape of security ``secs[n][r][j]``; only the functions that output shapes
-run it, and :func:`maximizer_shapes` makes top-level keys only for the
-shapes of the best security, found with ``bytearray.find``.  A key is the
+root rank r, so a shape's rank is its group's index.  :func:`_class_pairs`
+walks the unordered pairs of (leaf count, root rank) classes of a level.
+Every pair from two classes has root rank ``min(rx, ry) + 1``, so the
+securities of x's pairs with a class are one ``bytes.translate`` of that
+class's bytes that adds x's security and that rank (mod 256; at the guard
+no security plus rank exceeds 36 + 4), and measuring makes no key.
+:func:`_bkeys` runs the same walk over keys of its own, and only the
+functions that output shapes run it.  Every subtree of a maximizer is best
+in its class, so :func:`maximizer_shapes` makes keys only for the best
+shapes of each class, as :func:`_class_bests` measures them.  A key is the
 canonical text in the collation keys of ``trees`` (``)`` = 0, ``L`` = 1,
 ``(`` = 2) read as hexadecimal digits and left-aligned in
 ``3 * MAX_ENUM_LEAVES - 2`` digits, the longest text the guard admits.
@@ -84,19 +83,17 @@ def _leaf_guard(leaves):
         raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
 
 
-def _blocks(secs, n):
-    """Walk the n-leaf shapes as blocks: for each shape x of a level a <= n / 2
-    and each rank group of level n - a, x paired with that group, from x's own
-    index on where the halves are equal.  Yields ``(a, rx, i, ry, start,
-    rank, sx)``: x is ``secs[a][rx][i]`` of security ``sx``, the partners are
-    ``secs[n - a][ry][start:]`` and every pair has root rank ``rank``."""
+def _class_pairs(n):
+    """Walk the unordered pairs of root-rank classes that make n-leaf shapes:
+    yields ``(a, rx, b, ry, rank)`` for a <= b = n - a, with ry >= rx where
+    the halves are equal.  An a-leaf shape has root rank below
+    ``a.bit_length()``, so no table is read; every pair of shapes from the
+    two classes has root rank ``rank``."""
     for a in range(1, n // 2 + 1):
         b = n - a
-        for rx, xs in enumerate(secs[a]):
-            for i, sx in enumerate(xs):
-                for ry in range(rx if a == b else 0, len(secs[b])):
-                    rank = (rx if rx < ry else ry) + 1
-                    yield a, rx, i, ry, i if a == b and ry == rx else 0, rank, sx
+        for rx in range(a.bit_length()):
+            for ry in range(rx if a == b else 0, b.bit_length()):
+                yield a, rx, b, ry, (rx if rx < ry else ry) + 1
 
 
 def _bshapes(leaves):
@@ -104,14 +101,16 @@ def _bshapes(leaves):
     ``secs[n][r]`` holds one byte per n-leaf shape of root rank r."""
     _leaf_guard(leaves)
     # shifts[c] adds c to a byte (mod 256, which no stored security nears),
-    # so the securities of a block are one translate of its partners'
+    # so the securities of x's pairs are one translate of its partners'
     ring = bytes(range(256)) * 2
     shifts = [ring[c : c + 256] for c in range(256)]
     secs = [None, [bytearray(1)]]
     for n in range(2, leaves + 1):
         level = [bytearray() for _ in range(n.bit_length())]
-        for a, _, _, ry, start, rank, sx in _blocks(secs, n):
-            level[rank] += secs[n - a][ry][start:].translate(shifts[sx + rank])
+        for a, rx, b, ry, rank in _class_pairs(n):
+            xs, ys, out = secs[a][rx], secs[b][ry], level[rank]
+            for i, sx in enumerate(xs):
+                out += ys[i if xs is ys else 0 :].translate(shifts[sx + rank])
         secs.append(level)
     return secs
 
@@ -126,14 +125,20 @@ def _joined(kx, kys, a, n):
     ]
 
 
-def _bkeys(secs, top):
-    """The keys of levels 1..``top`` by the same walk as ``secs``, so
-    ``keys[n][r][j]`` is the shape whose security is ``secs[n][r][j]``."""
+def _bkeys(top, best=None):
+    """The keys of levels 1..``top``: ``keys[n][r]`` holds the n-leaf shapes
+    of root rank r.  Given ``best`` from :func:`_class_bests`, only those of
+    the class best, paired from the class pairs whose bests sum to it."""
+    _leaf_guard(top)
     keys = [None, [[_BLEAF]]]
     for n in range(2, top + 1):
-        level = [[] for _ in secs[n]]
-        for a, rx, i, ry, start, rank, _ in _blocks(secs, n):
-            level[rank] += _joined(keys[a][rx][i], keys[n - a][ry][start:], a, n)
+        level = [[] for _ in range(n.bit_length())]
+        for a, rx, b, ry, rank in _class_pairs(n):
+            if best and best[a][rx] + best[b][ry] + rank != best[n][rank]:
+                continue
+            xs, ys, out = keys[a][rx], keys[b][ry], level[rank]
+            for i, kx in enumerate(xs):
+                out += _joined(kx, ys[i if xs is ys else 0 :], a, n)
         keys.append(level)
     return keys
 
@@ -147,8 +152,7 @@ def _texts(keys, leaves):
 
 def _shape_texts(leaves):
     """Canonical texts of the ``leaves``-leaf shapes, in canonical order."""
-    secs = _bshapes(leaves)
-    return _texts(chain.from_iterable(_bkeys(secs, leaves)[leaves]), leaves)
+    return _texts(chain.from_iterable(_bkeys(leaves)[leaves]), leaves)
 
 
 def enumerate_shapes(leaves):
@@ -214,25 +218,31 @@ def _census_row(leaves, total, best, count):
     )
 
 
-def _bests(secs):
-    """Yield the best security of each level of ``secs``, from 1 leaf up.
-    No pair beats the two best halves under the highest root rank, so the
-    search steps down from that bound, one byte search per value."""
-    bests = [None]
-    for n, level in enumerate(secs[1:], 1):
-        halves = (bests[a] + bests[n - a] for a in range(1, n // 2 + 1))
-        best = max(halves, default=0) + len(level) - 1
-        while not any(best in group for group in level):
-            best -= 1
-        bests.append(best)
-        yield best
+def _class_bests(secs):
+    """``best[n][r]``: the best security of the n-leaf shapes of root rank r
+    in ``secs``, or -1 where there are none.  No pair beats the best shapes
+    of its two classes, so each search steps down from that bound, one byte
+    search per value."""
+    best = [None, [0]]
+    for n in range(2, len(secs)):
+        bounds = [-1] * n.bit_length()
+        for a, rx, b, ry, rank in _class_pairs(n):
+            bounds[rank] = max(bounds[rank], best[a][rx] + best[b][ry] + rank)
+        level = []
+        for group, bound in zip(secs[n], bounds):
+            while bound >= 0 and bound not in group:
+                bound -= 1
+            level.append(bound)
+        best.append(level)
+    return best
 
 
 def _brute_force_rows(max_leaves):
     """The brute-force census rows of 1..``max_leaves`` leaves, measured on
     one build of the security tables."""
     secs = _bshapes(max_leaves)
-    for leaves, (level, best) in enumerate(zip(secs[1:], _bests(secs)), 1):
+    for leaves, (level, bests) in enumerate(zip(secs[1:], _class_bests(secs)[1:]), 1):
+        best = max(bests)
         count = sum(group.count(best) for group in level)
         yield _census_row(leaves, sum(map(len, level)), best, count)
 
@@ -244,29 +254,16 @@ def brute_force_extremes(leaves):
     return row
 
 
-def _maximizer_keys(leaves):
-    """The keys of the ``leaves``-leaf shapes of the best security, which is
-    measured on the level before any key of it is made."""
-    secs = _bshapes(leaves)
-    *_, best = _bests(secs)
-    keys = _bkeys(secs, leaves - 1)
-    found = [_BLEAF] if leaves == 1 else []
-    for a, rx, i, ry, start, rank, sx in _blocks(secs, leaves):
-        want, ys = best - sx - rank, secs[leaves - a][ry]
-        j = ys.find(want, start) if want >= 0 else -1
-        picks = []
-        while j >= 0:
-            picks.append(keys[leaves - a][ry][j])
-            j = ys.find(want, j + 1)
-        found += _joined(keys[a][rx][i], picks, a, leaves)
-    return found
-
-
 def maximizer_shapes(leaves):
     """Yield the maximum-security shapes for one leaf count, in canonical
-    order.  The best security is measured on the same enumerated level, and
-    keys are made there only for the shapes that attain it."""
-    for text in _texts(_maximizer_keys(leaves), leaves):
+    order.  Every subtree of a maximizer has the best security of its
+    (leaf count, root rank) class, so keys are made only for such shapes;
+    each class's best is measured on the enumerated securities."""
+    best = _class_bests(_bshapes(leaves))
+    top = max(best[leaves])
+    level = zip(_bkeys(leaves, best)[leaves], best[leaves])
+    found = chain.from_iterable(keys for keys, sec in level if sec == top)
+    for text in _texts(found, leaves):
         yield parse(text)
 
 

@@ -532,7 +532,8 @@ CENSUS_COUNTS = [
 
 class TestCensusPaths:
     """The census counts come from the counting recurrence and build no
-    shape table; ``verify`` measures the enumerated shapes."""
+    shape table; ``verify`` measures the enumerated shapes, and the listing
+    makes their keys without measuring them."""
 
     @staticmethod
     def _fail(leaves):
@@ -563,12 +564,18 @@ class TestCensusPaths:
         assert calls == [20]
 
     def test_verify_makes_no_keys(self, capsys, monkeypatch):
-        def fail(secs, top):
-            raise AssertionError(f"the keys of 1..{top} leaves were made")
+        def fail(*args, **kwargs):
+            raise AssertionError("shape keys were made")
 
         monkeypatch.setattr(exhaustive, "_bkeys", fail)
         code, out, _ = run(capsys, "verify", "--max-leaves", "20")
         assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
+
+    def test_listing_measures_no_security(self, capsys, monkeypatch):
+        want = "".join(t + "\n" for t in exhaustive._shape_texts(12))
+        monkeypatch.setattr(exhaustive, "_bshapes", self._fail)
+        code, out, err = run(capsys, "enumerate", "--leaves", "12")
+        assert (code, out, err) == (0, want, "")
 
 
 class TestPinnedOutputs:

@@ -127,8 +127,8 @@ class TestShapeClasses:
         )
 
     def test_securities_stay_within_a_byte(self):
-        # a block's securities are its partners' plus one byte, added by
-        # ``bytes.translate``, which wraps past 255 where ``append`` raised:
+        # the securities of a shape's pairs are its partners' plus one byte,
+        # added by ``bytes.translate``, which wraps past 255 where ``append`` raised:
         # the recurrence bounds every stored security and rank at the guard
         classes = exhaustive._shape_classes(exhaustive.MAX_ENUM_LEAVES)[1:]
         top_rank = max(rank for level in classes for rank, _ in level)
@@ -228,6 +228,43 @@ class TestSecurityCensus:
                 for variant in (1, 2):
                     out = flip_adjacent(spine, i, variant)
                     assert serialize(out, canonical=True) in canons
+
+
+class TestBestInClass:
+    """Maximizers are made from the best shapes of each (leaf count, root
+    rank) class, whose bests are measured on the enumerated securities."""
+
+    def test_class_bests_are_the_group_maxima(self):
+        secs = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
+        want = [[max(group, default=-1) for group in level] for level in secs[1:]]
+        assert exhaustive._class_bests(secs)[1:] == want
+        assert sum(map(len, want)) == 84
+
+    def test_maximizer_counts_equal_the_byte_counts(self):
+        for row in exhaustive._brute_force_rows(exhaustive.MAX_ENUM_LEAVES):
+            count = sum(1 for _ in maximizer_shapes(row.leaf_count))
+            assert count == row.maximizer_count, row.leaf_count
+
+    def test_maximizers_make_keys_only_for_best_in_class_shapes(self, monkeypatch):
+        made = []
+        joined = exhaustive._joined
+
+        def spy(kx, kys, a, n):
+            keys = joined(kx, kys, a, n)
+            made.append(len(keys))
+            return keys
+
+        monkeypatch.setattr(exhaustive, "_joined", spy)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in maximizer_shapes(exhaustive.MAX_ENUM_LEAVES))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 9
+        # 242 of the 1,198,025 shapes of 1..21 leaves are best in their class
+        assert sum(made) <= 300
+        assert peak < 16 << 20
 
 
 class TestMaximizerClass:
