@@ -187,16 +187,6 @@ def _cmd_enumerate(args, out):
             out.write(block + "\n")
 
 
-def _root_rank_checks(orders, k=None, proper=False, root_degree=None):
-    """Yield each order with its brute-force root-rank extremes, all
-    measured on one build of the tables of the last order."""
-    levels = exhaustive._kshapes(orders[-1], k, proper)
-    for order in orders:
-        yield order, exhaustive.brute_force_max_root_rank(
-            order, k=k, root_degree=root_degree, proper=proper, levels=levels
-        )
-
-
 def _cmd_verify(args, out):
     # every argument is checked before any shape table is built
     if args.max_leaves is None and not args.kary and not args.starlike:
@@ -215,6 +205,7 @@ def _cmd_verify(args, out):
         n, k = args.starlike
         _require(k >= 1, "--starlike degree must be at least 1")
         _require(n > k, "--starlike order must exceed the degree")
+        starlike_orders = range(k + 1, n + 1)
         exhaustive._kary_guard(n, None)
     if args.max_leaves is not None:
         # every leaf count is measured on one build of the shape tables
@@ -228,7 +219,7 @@ def _cmd_verify(args, out):
         out.write(f"OK: formula = oracle for ℓ=3..{args.max_leaves}\n")
     if args.kary:
         n, k = args.kary
-        for order, got in _root_rank_checks(kary_orders, k, proper=True):
+        for order, got in exhaustive._root_rank_rows(kary_orders, k, proper=True):
             want = formulas.max_root_rank_kary(order, k).value
             if got.max_root_rank != want or got.max_vertex_rank != want:
                 raise GuardError(
@@ -238,7 +229,7 @@ def _cmd_verify(args, out):
         out.write(f"OK: k-ary root rank = oracle for n=1..{n}, k={k}\n")
     if args.starlike:
         n, k = args.starlike
-        for order, got in _root_rank_checks(range(k + 1, n + 1), root_degree=k):
+        for order, got in exhaustive._root_rank_rows(starlike_orders, root_degree=k):
             want = formulas.max_root_rank_starlike(order, k).value
             if got.max_root_rank != want:
                 raise GuardError(

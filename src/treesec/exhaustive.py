@@ -36,14 +36,16 @@ a table, so tuple order is canonical order.  Proper k-ary shapes (outdegrees
 0 or exactly k) are generated, not filtered: from proper levels, k at a time.
 
 The census counts come from :func:`_shape_classes`, a recurrence that
-counts the proper binary shapes of each leaf count by (root rank,
-security), keyed on raw security and taking nothing from
-:mod:`treesec.formulas`; :func:`count_shapes` and :func:`census_table` read
-it.  ``verify`` and every function that yields shapes measure the
-enumeration instead, so enumeration stays the oracle for the closed forms
-and the recurrence.  No table outlives its call; ``verify`` measures all
-its leaf counts on one build through :func:`_brute_force_rows`, and all
-the orders of one root-rank check on one :func:`_kshapes` build.
+runs the class-pair walk on counts: ``classes[n][r]`` is ``{security:
+count}`` over the n-leaf shapes of root rank r, indexed as ``secs[n][r]``
+is, and it takes nothing from :mod:`treesec.formulas`.
+:func:`count_shapes` and :func:`census_table` read it.  ``verify`` and
+every function that yields shapes measure the enumeration instead, so
+enumeration stays the oracle for the closed forms and the recurrence.  No
+table outlives its call.  Each check is a run of rows over one build:
+:func:`_brute_force_rows` measures all the leaf counts of ``verify`` on one
+:func:`_bshapes` build, and :func:`_root_rank_rows` all the orders of one
+root-rank check on one :func:`_kshapes` build.
 """
 
 from collections import Counter, namedtuple
@@ -167,29 +169,28 @@ def enumerate_shapes(leaves):
 
 
 def _shape_classes(leaves):
-    """``levels[a]`` is ``{(root rank, security): count}`` over the proper
-    binary shapes on a leaves, for a in 1..``leaves``, by the pairing
-    recurrence alone."""
+    """``classes[n][r]`` is ``{security: count}`` over the n-leaf proper
+    binary shapes of root rank r, for n in 1..``leaves``, by the pairing
+    recurrence alone: the class-pair walk of :func:`_bshapes` on counts."""
     _leaf_guard(leaves)
-    levels = [None, Counter({(0, 0): 1})]
+    classes = [None, [Counter({0: 1})]]
     for n in range(2, leaves + 1):
-        out = Counter()
-        for a in range(1, n // 2 + 1):
-            small = list(levels[a].items())
-            big = small if 2 * a == n else list(levels[n - a].items())
-            for i, ((rx, sx), cx) in enumerate(small):
-                for j, ((ry, sy), cy) in enumerate(small[i:] if big is small else big):
-                    rank = (rx if rx < ry else ry) + 1
-                    # c shapes of one class make c(c+1)/2 unordered pairs
-                    same = big is small and j == 0
-                    out[rank, sx + sy + rank] += cx * (cx + 1) // 2 if same else cx * cy
-        levels.append(out)
-    return levels
+        level = [Counter() for _ in range(n.bit_length())]
+        for a, rx, b, ry, rank in _class_pairs(n):
+            xs, ys, out = classes[a][rx], classes[b][ry], level[rank]
+            for sx, cx in xs.items():
+                for sy, cy in ys.items():
+                    if xs is not ys or sx < sy:
+                        out[sx + sy + rank] += cx * cy
+                    elif sx == sy:  # c shapes of one class make c(c+1)/2 pairs
+                        out[sx + sy + rank] += cx * (cx + 1) // 2
+        classes.append(level)
+    return classes
 
 
 def count_shapes(leaves):
     """Number of non-isomorphic proper binary trees with ``leaves`` leaves."""
-    return sum(_shape_classes(leaves)[leaves].values())
+    return sum(group.total() for group in _shape_classes(leaves)[leaves])
 
 
 class ShapeCensus(
@@ -274,14 +275,12 @@ def census_table(max_leaves):
     if max_leaves > MAX_CENSUS_LEAVES:
         raise SizeError(f"census guard is {MAX_CENSUS_LEAVES} leaves")
     rows = []
-    for leaves, classes in enumerate(_shape_classes(max_leaves)[1:], 1):
+    for leaves, level in enumerate(_shape_classes(max_leaves)[1:], 1):
         by_security = Counter()
-        for (_, sec), count in classes.items():
-            by_security[sec] += count
+        for group in level:
+            by_security.update(group)
         best = max(by_security)
-        rows.append(
-            _census_row(leaves, sum(by_security.values()), best, by_security[best])
-        )
+        rows.append(_census_row(leaves, by_security.total(), best, by_security[best]))
     return rows
 
 
@@ -310,6 +309,8 @@ def _kary_guard(n, k, proper=False):
         limit = min(limit * k + 1, 67)  # k = 6's limit: every order is walked
     if n > limit:
         raise SizeError(f"order over enumeration guard ({limit} for this arity)")
+    if proper and k is None:
+        raise GuardError("proper enumeration needs an arity bound")
 
 
 def _kid_multisets(total, cap, parts, levels, exact):
@@ -354,21 +355,6 @@ def _kshapes(n, k, proper):
     return levels
 
 
-def _kary_class(n, k, root_degree, proper, levels=None):
-    """The shapes of order ``n`` with outdegrees at most ``k`` (with
-    ``proper``, exactly 0 or k), in generation order, kept to a root
-    outdegree of ``root_degree`` (None = any); read from ``levels`` when
-    given, else from a build of order n."""
-    _kary_guard(n, k, proper)
-    if proper and k is None:
-        raise GuardError("proper enumeration needs an arity bound")
-    if levels is None:
-        levels = _kshapes(n, k, proper)
-    for shape in levels[n]:
-        if root_degree is None or shape[3] == root_degree:
-            yield shape
-
-
 def enumerate_kary_trees(n, k=None, proper=False):
     """Yield every non-isomorphic rooted tree of order ``n`` with outdegrees
     at most ``k`` (k None = unbounded) exactly once, in canonical order.
@@ -376,7 +362,8 @@ def enumerate_kary_trees(n, k=None, proper=False):
     With ``proper=True`` (requires k), only trees whose outdegrees are all 0
     or exactly k are yielded; for some orders this class is empty.
     """
-    for shape in sorted(_kary_class(n, k, None, proper)):
+    _kary_guard(n, k, proper)
+    for shape in sorted(_kshapes(n, k, proper)[n]):
         yield parse(shape[0].translate(_KEY_TEXT))
 
 
@@ -388,23 +375,29 @@ class RootRankExtremes(
     __slots__ = ()
 
 
-def brute_force_max_root_rank(
-    n, k=None, root_degree=None, proper=False, *, levels=None
-):
+def _root_rank_rows(orders, k=None, root_degree=None, proper=False):
+    """Yield each of the ascending ``orders`` with its brute-force root-rank
+    extremes, all measured on one build of the tables of the last order."""
+    for n in (orders[0], orders[-1]):
+        _kary_guard(n, k, proper)
+    levels = _kshapes(orders[-1], k, proper)
+    for n in orders:
+        shapes = [s for s in levels[n] if root_degree is None or s[3] == root_degree]
+        if not shapes:
+            raise GuardError("no trees of this order in the requested class")
+        yield n, RootRankExtremes(
+            max_root_rank=max(s[1] for s in shapes),
+            max_vertex_rank=max(s[2] for s in shapes),
+            trees_scanned=len(shapes),
+        )
+
+
+def brute_force_max_root_rank(n, k=None, root_degree=None, proper=False):
     """Exhaustive maxima of (a) the root rank and (b) the rank over all
     vertices, across trees of order ``n`` with outdegrees at most ``k``;
     with ``root_degree`` set, only trees whose root has that outdegree
     count, and with ``proper=True`` only outdegrees 0 and exactly k occur
     (the class the k-ary root-rank formula is exact for).  For the classes
-    without a root-degree restriction the two maxima agree.
-
-    ``levels``, the result of one ``_kshapes`` build of order n or above
-    with the same k and ``proper``, lets several orders share that build."""
-    shapes = list(_kary_class(n, k, root_degree, proper, levels))
-    if not shapes:
-        raise GuardError("no trees of this order in the requested class")
-    return RootRankExtremes(
-        max_root_rank=max(s[1] for s in shapes),
-        max_vertex_rank=max(s[2] for s in shapes),
-        trees_scanned=len(shapes),
-    )
+    without a root-degree restriction the two maxima agree."""
+    [(_, extremes)] = _root_rank_rows([n], k, root_degree, proper)
+    return extremes

@@ -54,7 +54,7 @@ class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
         its parent does not have exactly two children.
         """
         for v in (u, w):
-            if not 0 <= v < len(tree):
+            if type(v) is not int or not 0 <= v < len(tree):
                 raise GuardError(f"vertex id {v} out of range")
         if u == w:
             raise GuardError("the two switched vertices must differ")
@@ -197,11 +197,9 @@ def _rule_edges(rule, tree, ctx, ranks):
 def _apply_rule(rule, tree, ctx):
     """Check the context against the tree and the rule's guard, then apply
     its surgery through :func:`_step`."""
-    n = len(tree)
-    for v in (ctx.u, ctx.w, ctx.u0, ctx.w0, ctx.u1, ctx.w1):
-        if not 0 <= v < n:
-            raise GuardError(f"vertex id {v} out of range")
-    if SwitchContext.for_pair(tree, ctx.u, ctx.w) != ctx:
+    # a float or bool id can equal the right int, so the types are checked too
+    derived = SwitchContext.for_pair(tree, ctx.u, ctx.w)
+    if derived != ctx or any(type(v) is not int for v in ctx):
         raise GuardError("context does not match the tree's parent/sibling links")
     arena = _Arena(tree)
     if not (arena.is_saturated(ctx.u) and arena.is_saturated(ctx.w)):

@@ -260,13 +260,14 @@ class TestCommands:
     )
     def test_verify_kary_checks_the_proper_orders(self, capsys, monkeypatch, n, k, orders):
         seen = []
-        check = exhaustive.brute_force_max_root_rank
+        rows = exhaustive._root_rank_rows
 
-        def spy(order, **kwargs):
-            seen.append(order)
-            return check(order, **kwargs)
+        def spy(orders, *args, **kwargs):
+            for order, extremes in rows(orders, *args, **kwargs):
+                seen.append(order)
+                yield order, extremes
 
-        monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", spy)
+        monkeypatch.setattr(exhaustive, "_root_rank_rows", spy)
         code, out, _ = run(capsys, "verify", "--kary", str(n), str(k))
         assert code == 0 and seen == orders
         assert out == f"OK: k-ary root rank = oracle for n=1..{n}, k={k}\n"
@@ -471,7 +472,7 @@ class TestExitCodes:
             raise AssertionError("a check ran before the order guard")
 
         monkeypatch.setattr(exhaustive, "_bshapes", fail)
-        monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
+        monkeypatch.setattr(exhaustive, "_root_rank_rows", fail)
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and "size guard" in err and out == ""
 
@@ -480,7 +481,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise AssertionError("a check ran before the order guard")
 
-        monkeypatch.setattr(exhaustive, "brute_force_max_root_rank", fail)
+        monkeypatch.setattr(exhaustive, "_root_rank_rows", fail)
         code, out, err = run(capsys, "verify", "--kary", "31", "2")
         assert code == 2 and "(29 for this arity)" in err and out == ""
 

@@ -103,14 +103,11 @@ class TestShapeClasses:
 
     @pytest.fixture(scope="class")
     def enumerated(self):
-        """``{(rank, security): count}`` of every leaf count to the guard,
-        from one build of the security tables, whose groups are indexed by
-        root rank; the tables themselves are dropped on return."""
+        """``{security: count}`` of every (leaf count, root rank) class to the
+        guard, from one build of the security tables, whose groups are
+        indexed by root rank; the tables themselves are dropped on return."""
         secs = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
-        return [None] + [
-            Counter((rank, sec) for rank, group in enumerate(level) for sec in group)
-            for level in secs[1:]
-        ]
+        return [None] + [[Counter(group) for group in level] for level in secs[1:]]
 
     def test_recurrence_equals_the_enumeration(self, enumerated):
         top = exhaustive.MAX_ENUM_LEAVES
@@ -118,9 +115,10 @@ class TestShapeClasses:
 
     def test_enumerated_distribution_digest(self, enumerated):
         h = hashlib.sha256()
-        for leaves, classes in enumerate(enumerated[1:], 1):
-            for (rank, sec), count in sorted(classes.items()):
-                h.update(f"{leaves} {rank} {sec} {count}\n".encode())
+        for leaves, level in enumerate(enumerated[1:], 1):
+            for rank, group in enumerate(level):
+                for sec, count in sorted(group.items()):
+                    h.update(f"{leaves} {rank} {sec} {count}\n".encode())
         assert leaves == 22
         assert h.hexdigest() == (
             "7222ade403a60b626751715735523c35ada0139184193815f4ed1fb40f33c03f"
@@ -130,10 +128,17 @@ class TestShapeClasses:
         # the securities of a shape's pairs are its partners' plus one byte,
         # added by ``bytes.translate``, which wraps past 255 where ``append`` raised:
         # the recurrence bounds every stored security and rank at the guard
-        classes = exhaustive._shape_classes(exhaustive.MAX_ENUM_LEAVES)[1:]
-        top_rank = max(rank for level in classes for rank, _ in level)
-        top_security = max(sec for level in classes for _, sec in level)
+        levels = exhaustive._shape_classes(exhaustive.MAX_ENUM_LEAVES)[1:]
+        top_rank = max(len(level) - 1 for level in levels)
+        top_security = max(max(group, default=0) for level in levels for group in level)
         assert top_security + top_rank < 256  # 36 + 4 at 22 leaves
+
+    def test_census_engines_agree_on_every_row(self):
+        # the recurrence and the enumeration, held together on public rows
+        top = exhaustive.MAX_CENSUS_LEAVES
+        assert census_table(top) == list(exhaustive._brute_force_rows(top))
+        for row in exhaustive._brute_force_rows(exhaustive.MAX_ENUM_LEAVES):
+            assert count_shapes(row.leaf_count) == row.total_shapes, row.leaf_count
 
     def test_counts_build_no_shape_table(self, monkeypatch):
         def fail(leaves):
@@ -405,15 +410,14 @@ class TestBruteForceRootRank:
         [(None, None, False), (None, 3, False), (2, None, False), (3, None, True)],
     )
     def test_orders_share_one_build(self, k, root_degree, proper):
-        def extremes(n, **kwargs):
-            try:
-                return brute_force_max_root_rank(n, k, root_degree, proper, **kwargs)
-            except GuardError as e:
-                return str(e)
-
-        levels = exhaustive._kshapes(10, k, proper)
+        want = []
         for n in range(1, 11):
-            assert extremes(n, levels=levels) == extremes(n)
+            try:
+                want.append((n, brute_force_max_root_rank(n, k, root_degree, proper)))
+            except GuardError:
+                pass  # no trees of this order in the class
+        orders = [n for n, _ in want]
+        assert list(exhaustive._root_rank_rows(orders, k, root_degree, proper)) == want
 
     def test_empty_class(self):
         with pytest.raises(GuardError):

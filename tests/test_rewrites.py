@@ -88,6 +88,22 @@ class TestSwitchContext:
                 SwitchContext.for_pair(tree, u, w)
             assert str(err.value) == f"vertex id {bad} out of range"
 
+    @pytest.mark.parametrize(
+        "bad", [lambda v: None, lambda v: "2", float], ids=["None", "str", "float"]
+    )
+    @pytest.mark.parametrize("field", SwitchContext._fields)
+    def test_non_int_ids_rejected(self, field, bad):
+        # float(v) == v, so only a type check refuses it
+        t = parse("((L(LL))(L(LL)))")
+        ctx = SwitchContext.for_pair(t, 2, 7)
+        ctx = ctx._replace(**{field: bad(getattr(ctx, field))})
+        with pytest.raises(GuardError):
+            switch_disjoint(t, ctx)
+        if field in ("u", "w"):
+            v = getattr(ctx, field)
+            with pytest.raises(GuardError, match=f"^vertex id {v} out of range$"):
+                SwitchContext.for_pair(t, ctx.u, ctx.w)
+
     def test_stale_context_rejected(self):
         t = parse("((L(LL))(L(LL)))")
         bad = SwitchContext(u=2, w=7, u0=1, w0=6, u1=4, w1=8)  # u1 is wrong
