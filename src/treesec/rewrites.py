@@ -58,30 +58,29 @@ class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
                 raise GuardError(f"vertex id {v} out of range")
         if u == w:
             raise GuardError("the two switched vertices must differ")
-        u0, u1 = _parent_and_sibling(tree, u)
-        w0, w1 = _parent_and_sibling(tree, w)
-        return cls(u=u, w=w, u0=u0, w0=w0, u1=u1, w1=w1)
+        for v in (u, w):
+            p = tree.parent(v)
+            if p is None:
+                raise GuardError(f"vertex {v} is the root and has no parent")
+            if len(tree.children(p)) != 2:
+                raise GuardError(f"parent of vertex {v} must have exactly two children")
+        return _pair_context(tree, u, w)
 
 
-def _parent_and_sibling(tree, v):
-    p = tree.parent(v)
-    if p is None:
-        raise GuardError(f"vertex {v} is the root and has no parent")
-    kids = tree.children(p)
-    if len(kids) != 2:
-        raise GuardError(f"parent of vertex {v} must have exactly two children")
-    a, b = kids
-    return p, (b if a == v else a)
+def _pair_context(tree, u, w):
+    """The context of two distinct non-root vertices whose parents have two
+    children each, read without checks."""
+    par = tree._parents
+    (a, b), (c, d) = tree.children(par[u]), tree.children(par[w])
+    return SwitchContext(u, w, par[u], par[w], b if a == u else a, d if c == w else c)
 
 
 def _is_strict_ancestor(tree, a, b):
     par = tree._parents
     v = par[b]
-    while v >= 0:
-        if v == a:
-            return True
+    while v >= 0 and v != a:
         v = par[v]
-    return False
+    return v == a
 
 
 def _splice(par, root, removed, added):
@@ -97,12 +96,15 @@ def _splice(par, root, removed, added):
         if par[c] >= 0:
             raise GuardError(f"vertex {c} is already attached")
         par[c] = p
-    roots = {v for v in (root, *(c for _, c in removed)) if par[v] < 0}
-    if len(roots) != 1:
+    # the new root is the old one or a cut child; -1: none yet, -2: two
+    new = root if par[root] < 0 else -1
+    for _, c in removed:
+        if par[c] < 0 and c != new:
+            new = c if new == -1 else -2
+    if new < 0:
         raise GuardError("rewrite must leave exactly one root")
-    (root,) = roots
-    par[root] = -1
-    return root
+    par[new] = -1
+    return new
 
 
 def _rewire(tree, removed, added):
@@ -117,9 +119,7 @@ def _switch_edges(ctx):
         # u and w are siblings, so w's sibling is u itself and the exchange
         # degenerates to the identity
         return (), ()
-    removed = ((ctx.u0, ctx.u), (ctx.w0, ctx.w1))
-    added = ((ctx.w0, ctx.u), (ctx.u0, ctx.w1))
-    return removed, added
+    return ((ctx.u0, ctx.u), (ctx.w0, ctx.w1)), ((ctx.w0, ctx.u), (ctx.u0, ctx.w1))
 
 
 # the switching rules, in the order normalization tries them
@@ -197,6 +197,8 @@ def _rule_edges(rule, tree, ctx, ranks):
 def _apply_rule(rule, tree, ctx):
     """Check the context against the tree and the rule's guard, then apply
     its surgery through :func:`_step`."""
+    if not isinstance(ctx, SwitchContext):
+        raise GuardError("context must be a SwitchContext")
     # a float or bool id can equal the right int, so the types are checked too
     derived = SwitchContext.for_pair(tree, ctx.u, ctx.w)
     if derived != ctx or any(type(v) is not int for v in ctx):
@@ -266,12 +268,11 @@ def _hoist_edges(arena):
     for u, _ in sorted(arena.saturated(), key=lambda vm: vm[1]):
         if u == s:
             return None
-        p = arena.parent(u)
-        if p == s:
+        u0 = arena.parent(u)
+        if u0 == s:
             a, b = arena.children(s)
             s = b if a == u else a
             continue
-        u0 = p
         a, b = arena.children(u0)
         u1 = b if a == u else a
         up = arena.parent(u0)
@@ -335,9 +336,9 @@ class RewriteTrace(namedtuple("RewriteTrace", "steps")):
 
 
 def _select_switch(tree, x, y, ranks):
-    """The first (rule, context) whose guard accepts the saturated pair:
-    oriented (x, y) before (y, x), the rules in :data:`_RULES` order."""
-    ctx = SwitchContext.for_pair(tree, x, y)
+    """The first (rule, context) whose guard accepts a saturated pair, taken
+    unchecked: oriented (x, y) before (y, x), the rules in :data:`_RULES` order."""
+    ctx = _pair_context(tree, x, y)
     nesting = _nesting(tree, ctx)
     for _ in range(2):
         for rule in _RULES:
@@ -382,9 +383,10 @@ class _Arena:
     exponents of the saturated vertices in the subtree (``mask``: those
     present, ``dup``: those present at least twice), plus the running
     security.  :meth:`rewire` measures the union of the root paths of the
-    vertices whose children changed, each vertex once and in walk order,
-    and :meth:`saturated` walks the stored order without comparing
-    anything.  Like a :class:`RootedTree` it has a length and exposes
+    vertices whose children changed, each vertex once and in walk order (a
+    per-vertex stamp, the number of the last walk through it, marks the
+    visited vertices), and :meth:`saturated` walks the stored order without
+    comparing anything.  Like a :class:`RootedTree` it has a length and exposes
     ``_parents``, ``root``, ``parent`` and ``children``, so the switching
     and hoist helpers run on it unchanged.
     """
@@ -398,6 +400,7 @@ class _Arena:
         self.h = [0] * n
         self.mask = [1] * n
         self.dup = [0] * n
+        self.stamp, self.walks = [0] * n, 0
         self.security = 0
         self._measure(reversed(tree._top_down_order()))
 
@@ -456,31 +459,31 @@ class _Arena:
         for p, c in added:
             kids[p] = [*kids[p], c]  # never extend a leaf's shared tuple
         # Only the ancestors of a changed child list change.  Each walk
-        # climbs from a changed parent to the root or to an earlier walk, so
-        # measuring the walks last-first measures every vertex once, after
-        # its children.  The tree was acyclic, so a new cycle passes through
-        # a new edge, hence through one of these parents: the first walk to
-        # enter it comes back to a vertex of its own.
-        seen = set()
-        order = []
-        for v in {p for p, _ in removed} | {p for p, _ in added}:
-            walk = []
-            while v >= 0 and v not in seen:
-                seen.add(v)
-                walk.append(v)
-                v = par[v]
-            if v >= 0 and v in walk:
-                raise GuardError(
-                    "parent links contain a cycle or unreachable vertices"
-                )
-            order = walk + order
-        self._measure(order)
+        # climbs from a changed parent to the root or to an earlier walk,
+        # stamping its vertices with its own number (above those of earlier
+        # rewires), so measuring the walks last-first measures every vertex
+        # once, after its children.  The tree was acyclic, so a new cycle
+        # passes through a new edge, hence through one of these parents: the
+        # first walk to enter it comes back to its own stamp.
+        stamp, first, walks = self.stamp, self.walks + 1, []
+        for p, _ in (*removed, *added):
+            number, walk = first + len(walks), []
+            while p >= 0 and stamp[p] < first:
+                stamp[p] = number
+                walk.append(p)
+                p = par[p]
+            if p >= 0 and stamp[p] == number:
+                raise GuardError("parent links contain a cycle or unreachable vertices")
+            if walk:
+                walks.append(walk)
+        self.walks += len(walks)
+        for walk in reversed(walks):
+            self._measure(walk)
 
-    def is_saturated(self, v, m=None):
-        """True iff v roots a maximal complete subtree, with 2**m leaves if
-        m is given."""
+    def is_saturated(self, v):
+        """True iff v roots a maximal complete subtree."""
         h, p = self.h, self._parents[v]
-        return h[v] >= 0 and (m is None or h[v] == m) and (p < 0 or h[p] < 0)
+        return h[v] >= 0 and (p < 0 or h[p] < 0)
 
     def saturated(self, m=None):
         """Yield the saturated (vertex, exponent) pairs in canonical
@@ -548,19 +551,16 @@ def normalize_to_power_spine(tree):
         if len(steps) > step_guard:
             raise GuardError("rewrite did not terminate within the step guard")
 
+    h, par = arena.h, arena._parents
     while arena.dup[arena.root]:
         repeated = arena.dup[arena.root].bit_length() - 1
         (x, _), (y, _) = islice(arena.saturated(repeated), 2)
-        while True:
+        # distinct complete subtrees of one height are disjoint: neither is the root
+        while h[x] == h[y] == repeated and h[par[x]] < 0 and h[par[y]] < 0:
             rule, ctx = _select_switch(arena, x, y, arena.rank)
             apply(rule, *_rule_edges(rule, arena, ctx, arena.rank))
-            if not all(arena.is_saturated(v, repeated) for v in (x, y)):
-                break
 
-    while True:
-        edges = _hoist_edges(arena)
-        if edges is None:
-            break
+    while (edges := _hoist_edges(arena)) is not None:
         apply("hoist_min_saturated", *edges)
 
     result = RootedTree(arena._parents) if steps else tree

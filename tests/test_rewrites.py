@@ -20,6 +20,7 @@ from treesec import (
     normalize_to_power_spine,
     parse,
     partition_vector,
+    protected_count,
     reroot_at_vertex,
     saturated_vertices,
     security,
@@ -103,6 +104,13 @@ class TestSwitchContext:
             v = getattr(ctx, field)
             with pytest.raises(GuardError, match=f"^vertex id {v} out of range$"):
                 SwitchContext.for_pair(t, ctx.u, ctx.w)
+
+    @pytest.mark.parametrize("op", SWITCH_OPS)
+    def test_plain_tuple_context_rejected(self, op):
+        # the right ids in a plain tuple are refused before any field is read
+        t = parse("((L(LL))(L(LL)))")
+        with pytest.raises(GuardError, match="^context must be a SwitchContext$"):
+            op(t, (2, 7, 1, 6, 3, 8))
 
     def test_stale_context_rejected(self):
         t = parse("((L(LL))(L(LL)))")
@@ -508,6 +516,26 @@ class TestNormalizePinned:
                 assert security(replayed) == step.security_after
             assert replayed._parents == out._parents
 
+    def test_no_step_lowers_any_protected_level(self):
+        # the per-level form of "no step lowers security": replayed through
+        # the from-scratch surgery, no step lowers the number of vertices of
+        # rank >= j at any level j
+        def levels(t):
+            return [protected_count(t, j) for j in range(1, max(all_ranks(t)) + 1)]
+
+        shapes = [t for leaves in range(1, 13) for t in enumerate_shapes(leaves)]
+        steps = 0
+        for tree in shapes + _seeded_random_trees(40, 200, seed=0x5EC):
+            _, trace = normalize_to_power_spine(tree)
+            before = levels(tree)
+            for step in trace.steps:
+                tree = _rewire(tree, step.edges_removed, step.edges_added)
+                after = levels(tree)
+                assert all(a >= b for a, b in zip(after + [0] * len(before), before))
+                before = after
+                steps += 1
+        assert (len(shapes), steps) == (850, 5738)
+
 
 class TestArena:
     """The normalizer's mutable arena: its surgery check and its repair."""
@@ -518,6 +546,20 @@ class TestArena:
         # every outdegree is kept, but 1 and 2 become each other's parent
         with pytest.raises(GuardError, match="cycle or unreachable"):
             arena.rewire(((0, 1), (2, 3)), ((2, 1), (0, 3)))
+
+    @pytest.mark.parametrize(
+        "removed,added,message",
+        [
+            (((0, 2),), (), r"edge \(0, 2\) is not present"),
+            ((), ((3, 6),), "vertex 6 is already attached"),
+            ((), ((6, 0),), "exactly one root"),  # the root hung below a leaf
+            (((0, 6),), (), "exactly one root"),  # a leaf cut loose
+        ],
+    )
+    def test_surgery_refusals(self, removed, added, message):
+        arena = rewrites._Arena(parse("(((LL)L)L)"))
+        with pytest.raises(GuardError, match=message):
+            arena.rewire(removed, added)
 
     def test_children_are_kept_in_canonical_order(self):
         # the arena orders children from ranks, complete heights and the
