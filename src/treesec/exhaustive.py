@@ -12,16 +12,19 @@ canonical ids are parse's preorder ids.
 
 A proper binary level is stored by root rank: :func:`_bshapes` makes
 ``secs[n][r]``, a ``bytearray`` with one security byte per n-leaf shape of
-root rank r, so a shape's rank is its group's index.  :func:`_class_pairs`
-walks the unordered pairs of (leaf count, root rank) classes of a level.
-Every pair from two classes has root rank ``min(rx, ry) + 1``, so the
-securities of x's pairs with a class are one ``bytes.translate`` of that
-class's bytes that adds x's security and that rank (mod 256; at the guard
-no security plus rank exceeds 36 + 4), and measuring makes no key.
-:func:`_bkeys` runs the same walk over keys of its own, and only the
-functions that output shapes run it.  Every subtree of a maximizer is best
-in its class, so :func:`maximizer_shapes` makes keys only for the best
-shapes of each class, as :func:`_class_bests` measures them.  A key is the
+root rank r, so a shape's rank is its group's index.  One walk,
+:func:`_class_pairs`, grows every proper binary table: it runs the leaf
+guard, lays out each level by root rank and yields the unordered pairs of
+(leaf count, root rank) classes of that level, and each table gives only
+its one-leaf value and what a pair adds.  Every pair from two classes has
+root rank ``min(rx, ry) + 1``, so the securities of x's pairs with a class
+are one ``bytes.translate`` of that class's bytes that adds x's security
+and that rank (mod 256; at the guard no security plus rank exceeds 36 +
+4), and measuring makes no key.  :func:`_bkeys` runs the same walk over
+keys, and only the functions that output shapes run it.  Every subtree of
+a maximizer is best in its class, so :func:`maximizer_shapes` makes keys
+only for the best shapes of each class; :func:`_class_bests` walks the
+class bests as exact bounds and confirms each on the bytes.  A key is the
 canonical text in the collation keys of ``trees`` (``)`` = 0, ``L`` = 1,
 ``(`` = 2) read as hexadecimal digits and left-aligned in
 ``3 * MAX_ENUM_LEAVES - 2`` digits, the longest text the guard admits.
@@ -36,7 +39,7 @@ a table, so tuple order is canonical order.  Proper k-ary shapes (outdegrees
 0 or exactly k) are generated, not filtered: from proper levels, k at a time.
 
 The census counts come from :func:`_shape_classes`, a recurrence that
-runs the class-pair walk on counts: ``classes[n][r]`` is ``{security:
+runs the same walk on counts: ``classes[n][r]`` is ``{security:
 count}`` over the n-leaf shapes of root rank r, indexed as ``secs[n][r]``
 is, and it takes nothing from :mod:`treesec.formulas`.
 :func:`count_shapes` and :func:`census_table` read it.  ``verify`` and
@@ -85,35 +88,36 @@ def _leaf_guard(leaves):
         raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
 
 
-def _class_pairs(n):
-    """Walk the unordered pairs of root-rank classes that make n-leaf shapes:
-    yields ``(a, rx, b, ry, rank)`` for a <= b = n - a, with ry >= rx where
-    the halves are equal.  An a-leaf shape has root rank below
-    ``a.bit_length()``, so no table is read; every pair of shapes from the
-    two classes has root rank ``rank``."""
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        for rx in range(a.bit_length()):
-            for ry in range(rx if a == b else 0, b.bit_length()):
-                yield a, rx, b, ry, (rx if rx < ry else ry) + 1
+def _class_pairs(table, leaves):
+    """Grow ``table`` from its level 1 to ``leaves`` leaves.  Each level n
+    is appended as ``n.bit_length()`` fresh values of level 1's type, one
+    per root rank, before the walk yields ``(n, a, rx, b, ry, rank)`` for
+    each unordered pair of root-rank classes that makes n-leaf shapes
+    (a <= b = n - a, ry >= rx where the halves are equal); every pair of
+    shapes from the two classes has root rank ``rank``."""
+    _leaf_guard(leaves)
+    fresh = type(table[1][0])
+    for n in range(2, leaves + 1):
+        table.append([fresh() for _ in range(n.bit_length())])
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            for rx in range(a.bit_length()):
+                for ry in range(rx if a == b else 0, b.bit_length()):
+                    yield n, a, rx, b, ry, (rx if rx < ry else ry) + 1
 
 
 def _bshapes(leaves):
     """The securities of levels 1..``leaves``, built for this call:
     ``secs[n][r]`` holds one byte per n-leaf shape of root rank r."""
-    _leaf_guard(leaves)
     # shifts[c] adds c to a byte (mod 256, which no stored security nears),
     # so the securities of x's pairs are one translate of its partners'
     ring = bytes(range(256)) * 2
     shifts = [ring[c : c + 256] for c in range(256)]
     secs = [None, [bytearray(1)]]
-    for n in range(2, leaves + 1):
-        level = [bytearray() for _ in range(n.bit_length())]
-        for a, rx, b, ry, rank in _class_pairs(n):
-            xs, ys, out = secs[a][rx], secs[b][ry], level[rank]
-            for i, sx in enumerate(xs):
-                out += ys[i if xs is ys else 0 :].translate(shifts[sx + rank])
-        secs.append(level)
+    for n, a, rx, b, ry, rank in _class_pairs(secs, leaves):
+        xs, ys, out = secs[a][rx], secs[b][ry], secs[n][rank]
+        for i, sx in enumerate(xs):
+            out += ys[i if xs is ys else 0 :].translate(shifts[sx + rank])
     return secs
 
 
@@ -131,17 +135,13 @@ def _bkeys(top, best=None):
     """The keys of levels 1..``top``: ``keys[n][r]`` holds the n-leaf shapes
     of root rank r.  Given ``best`` from :func:`_class_bests`, only those of
     the class best, paired from the class pairs whose bests sum to it."""
-    _leaf_guard(top)
     keys = [None, [[_BLEAF]]]
-    for n in range(2, top + 1):
-        level = [[] for _ in range(n.bit_length())]
-        for a, rx, b, ry, rank in _class_pairs(n):
-            if best and best[a][rx] + best[b][ry] + rank != best[n][rank]:
-                continue
-            xs, ys, out = keys[a][rx], keys[b][ry], level[rank]
-            for i, kx in enumerate(xs):
-                out += _joined(kx, ys[i if xs is ys else 0 :], a, n)
-        keys.append(level)
+    for n, a, rx, b, ry, rank in _class_pairs(keys, top):
+        if best and best[a][rx] + best[b][ry] + rank != best[n][rank]:
+            continue
+        xs, ys, out = keys[a][rx], keys[b][ry], keys[n][rank]
+        for i, kx in enumerate(xs):
+            out += _joined(kx, ys[i if xs is ys else 0 :], a, n)
     return keys
 
 
@@ -171,20 +171,16 @@ def enumerate_shapes(leaves):
 def _shape_classes(leaves):
     """``classes[n][r]`` is ``{security: count}`` over the n-leaf proper
     binary shapes of root rank r, for n in 1..``leaves``, by the pairing
-    recurrence alone: the class-pair walk of :func:`_bshapes` on counts."""
-    _leaf_guard(leaves)
+    recurrence alone: the walk of :func:`_class_pairs` on counts."""
     classes = [None, [Counter({0: 1})]]
-    for n in range(2, leaves + 1):
-        level = [Counter() for _ in range(n.bit_length())]
-        for a, rx, b, ry, rank in _class_pairs(n):
-            xs, ys, out = classes[a][rx], classes[b][ry], level[rank]
-            for sx, cx in xs.items():
-                for sy, cy in ys.items():
-                    if xs is not ys or sx < sy:
-                        out[sx + sy + rank] += cx * cy
-                    elif sx == sy:  # c shapes of one class make c(c+1)/2 pairs
-                        out[sx + sy + rank] += cx * (cx + 1) // 2
-        classes.append(level)
+    for n, a, rx, b, ry, rank in _class_pairs(classes, leaves):
+        xs, ys, out = classes[a][rx], classes[b][ry], classes[n][rank]
+        for sx, cx in xs.items():
+            for sy, cy in ys.items():
+                if xs is not ys or sx < sy:
+                    out[sx + sy + rank] += cx * cy
+                elif sx == sy:  # c shapes of one class make c(c+1)/2 pairs
+                    out[sx + sy + rank] += cx * (cx + 1) // 2
     return classes
 
 
@@ -221,20 +217,18 @@ def _census_row(leaves, total, best, count):
 
 def _class_bests(secs):
     """``best[n][r]``: the best security of the n-leaf shapes of root rank r
-    in ``secs``, or -1 where there are none.  No pair beats the best shapes
-    of its two classes, so each search steps down from that bound, one byte
-    search per value."""
+    in ``secs``, or -1 where there are none.  A pair of the best shapes of
+    two nonempty classes is best in its own class, so the walk over the
+    nonempty class pairs gives each best as an exact bound; each is then
+    read off the enumerated bytes, stepping down while it is absent."""
     best = [None, [0]]
-    for n in range(2, len(secs)):
-        bounds = [-1] * n.bit_length()
-        for a, rx, b, ry, rank in _class_pairs(n):
-            bounds[rank] = max(bounds[rank], best[a][rx] + best[b][ry] + rank)
-        level = []
-        for group, bound in zip(secs[n], bounds):
-            while bound >= 0 and bound not in group:
-                bound -= 1
-            level.append(bound)
-        best.append(level)
+    for n, a, rx, b, ry, rank in _class_pairs(best, len(secs) - 1):
+        if secs[a][rx] and secs[b][ry]:
+            best[n][rank] = max(best[n][rank], best[a][rx] + best[b][ry] + rank)
+    for level, groups in zip(best[1:], secs[1:]):
+        for r, group in enumerate(groups):
+            while level[r] >= 0 and level[r] not in group:
+                level[r] -= 1
     return best
 
 

@@ -580,11 +580,11 @@ def flip_adjacent(tree, i, variant):
     leaves = tree.leaf_count()
     rep = binary_power_representation(leaves)
     k = len(rep)
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise GuardError("variant must be 1 or 2")
     if k < 3:
         raise GuardError("no flip exists for this leaf count (fewer than 3 blocks)")
-    if not 2 <= i <= k - 1:
+    if type(i) is not int or not 2 <= i <= k - 1:
         raise GuardError(f"index must be in [2, {k - 1}] for this leaf count")
     if rep[i - 1] != rep[i] + 1:
         raise GuardError("block exponents at i and i+1 must differ by one")
@@ -625,7 +625,7 @@ def reroot_at_vertex(tree, v, mode="general"):
     """
     if mode not in ("general", "degree_preserving"):
         raise GuardError(f"unknown mode {mode!r}")
-    if not 0 <= v < len(tree):
+    if type(v) is not int or not 0 <= v < len(tree):
         raise GuardError(f"vertex id {v} out of range")
     if v == tree.root:
         return tree

@@ -153,6 +153,38 @@ class TestShapeClasses:
         assert count_shapes(top) == wedderburn_etherington(top)
 
 
+class TestClassPairs:
+    """The one walk that grows every proper binary table: it lays out each
+    level before yielding that level's class pairs, and it holds the guard."""
+
+    def test_walk_contract(self):
+        top = exhaustive.MAX_ENUM_LEAVES
+        table = [None, [0]]
+        seen, made = set(), set()
+        for n, a, rx, b, ry, rank in exhaustive._class_pairs(table, top):
+            assert len(table) == n + 1 and table[n][0] == 0
+            assert len(table[n]) == n.bit_length()
+            assert a <= b == n - a and (a < b or rx <= ry)
+            assert rank == min(rx, ry) + 1
+            assert (n, a, rx, ry) not in seen
+            seen.add((n, a, rx, ry))
+            made.add((n, rank))
+        assert len(table) == top + 1
+        secs = exhaustive._bshapes(top)
+        for n in range(2, top + 1):
+            for r, group in enumerate(secs[n]):
+                assert not group or (n, r) in made, (n, r)
+
+    @pytest.mark.parametrize(
+        "leaves, error", [(0, GuardError), (exhaustive.MAX_ENUM_LEAVES + 1, SizeError)]
+    )
+    def test_guard_runs_before_any_level(self, leaves, error):
+        table = [None, [0]]
+        with pytest.raises(error):
+            next(exhaustive._class_pairs(table, leaves))
+        assert table == [None, [0]]
+
+
 class TestBinaryPinned:
     """sha256 over the trees that the binary tables yield, so that a change
     to the binary shape tables or to how a shape becomes a tree cannot

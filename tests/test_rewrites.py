@@ -652,6 +652,16 @@ class TestFlip:
         with pytest.raises(GuardError):
             flip_adjacent(build_power_spine(11), 2, 3)
 
+    @pytest.mark.parametrize(
+        "i, variant, message",
+        [(2.0, 1, "index must be in"), (2, True, "variant"), (2, 1.0, "variant")],
+        ids=["float-index", "bool-variant", "float-variant"],
+    )
+    def test_non_int_arguments_rejected(self, i, variant, message):
+        # 2.0 == 2 and True == 1, so only a type check refuses them
+        with pytest.raises(GuardError, match=message):
+            flip_adjacent(build_power_spine(7), i, variant)
+
 
 class TestReroot:
     def test_root_is_identity(self):
@@ -695,6 +705,11 @@ class TestReroot:
             reroot_at_vertex(t, 1, mode="sideways")
         with pytest.raises(GuardError):
             reroot_at_vertex(t, 9)
+
+    @pytest.mark.parametrize("v", [1.0, True], ids=["float", "bool"])
+    def test_non_int_id_rejected(self, v):
+        with pytest.raises(GuardError, match=f"^vertex id {v} out of range$"):
+            reroot_at_vertex(parse("((LL)L)"), v)
 
 
 class TestTrace:
