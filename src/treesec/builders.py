@@ -7,7 +7,7 @@ scale the arena representation can actually hold.
 
 from itertools import chain
 
-from .errors import GuardError, SizeError
+from .errors import GuardError, _count
 from .trees import RootedTree
 
 __all__ = [
@@ -33,10 +33,7 @@ def binary_power_representation(leaves):
     This is the unique representation of ``leaves`` as a sum of distinct
     powers of two, i.e. the positions of its set bits, largest first.
     """
-    if leaves < 1:
-        raise GuardError("leaf count must be at least 1")
-    if leaves > LEAF_RANGE:
-        raise SizeError(f"leaf count over guard ({LEAF_RANGE})")
+    _count(leaves, "leaf count", 1, LEAF_RANGE)
     return tuple(i for i in range(leaves.bit_length() - 1, -1, -1) if (leaves >> i) & 1)
 
 
@@ -59,10 +56,7 @@ def _heap(parents, parent_of_root, order, k=2):
 
 def build_complete_binary(height):
     """Complete binary tree: 2**height leaves, all at depth ``height``."""
-    if height < 0:
-        raise GuardError("height must be non-negative")
-    if height > MAX_COMPLETE_HEIGHT:
-        raise SizeError(f"height over guard ({MAX_COMPLETE_HEIGHT})")
+    _count(height, "height", 0, MAX_COMPLETE_HEIGHT)
     parents = []
     _heap(parents, -1, (2 << height) - 1)
     return RootedTree._make(parents)
@@ -100,10 +94,8 @@ def build_power_spine(leaves):
     two this degenerates to the complete binary tree itself.  Its partition
     vector equals :func:`binary_power_representation` of ``leaves``.
     """
-    rep = binary_power_representation(leaves)
-    if leaves > MAX_LEAVES:
-        raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
-    return RootedTree._make(_spine_parents(rep))
+    _count(leaves, "leaf count", 1, MAX_LEAVES)
+    return RootedTree._make(_spine_parents(binary_power_representation(leaves)))
 
 
 def build_almost_complete(leaves):
@@ -114,10 +106,7 @@ def build_almost_complete(leaves):
     children.  All leaves end up on at most two consecutive levels, and its
     security equals that of :func:`build_power_spine`.
     """
-    if leaves < 1:
-        raise GuardError("leaf count must be at least 1")
-    if leaves > MAX_LEAVES:
-        raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
+    _count(leaves, "leaf count", 1, MAX_LEAVES)
     parents = []
     _heap(parents, -1, 2 * leaves - 1)
     return RootedTree._make(parents)
@@ -132,10 +121,7 @@ def build_almost_complete_stepwise(leaves):
     renumbered in level order, with each vertex's children taken by
     increasing id, its parent array equals the direct one.
     """
-    if leaves < 1:
-        raise GuardError("leaf count must be at least 1")
-    if leaves > MAX_LEAVES:
-        raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
+    _count(leaves, "leaf count", 1, MAX_LEAVES)
     rep = binary_power_representation(leaves)
     parents = []
     _heap(parents, -1, (2 << rep[0]) - 1)
@@ -157,10 +143,7 @@ def build_almost_complete_stepwise(leaves):
 def build_binary_caterpillar(leaves):
     """Proper binary caterpillar: every internal vertex has a leaf child,
     except the deepest one which has two."""
-    if leaves < 2:
-        raise GuardError("a binary caterpillar needs at least 2 leaves")
-    if leaves > MAX_LEAVES:
-        raise SizeError(f"leaf count over guard ({MAX_LEAVES})")
+    _count(leaves, "leaf count", 2, MAX_LEAVES)
     parents = [-1]
     cur = 0
     for _ in range(leaves - 2):
@@ -181,10 +164,9 @@ def build_starlike(arms):
     arms = tuple(arms)
     if not arms:
         raise GuardError("at least one arm is required")
-    if any(a < 1 for a in arms):
-        raise GuardError("arm lengths must be positive")
-    if 1 + sum(arms) > MAX_ORDER:
-        raise SizeError(f"order over guard ({MAX_ORDER})")
+    for a in arms:
+        _count(a, "arm length", 1)
+    _count(1 + sum(arms), "order", 2, MAX_ORDER)
     parents = [-1]
     for a in arms:
         prev = 0
@@ -201,12 +183,8 @@ def build_complete_kary(order, k):
     sit on at most two consecutive levels and at most one vertex mixes leaf
     and non-leaf children.
     """
-    if k < 2:
-        raise GuardError("arity must be at least 2")
-    if order < 1:
-        raise GuardError("order must be at least 1")
-    if order > MAX_ORDER:
-        raise SizeError(f"order over guard ({MAX_ORDER})")
+    _count(k, "arity", 2)
+    _count(order, "order", 1, MAX_ORDER)
     parents = []
     _heap(parents, -1, order, k)
     return RootedTree._make(parents)

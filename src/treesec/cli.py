@@ -10,7 +10,7 @@ import sys
 from itertools import islice
 
 from . import builders, exhaustive, formulas, rewrites, trees
-from .errors import GuardError, ParseError, SizeError
+from .errors import GuardError, ParseError, SizeError, _count
 
 __all__ = ["main"]
 _LISTING_BLOCK = 4096  # lines per write of the enumerate listing
@@ -107,11 +107,6 @@ def _build_parser():
     return parser
 
 
-def _require(condition, message):
-    if not condition:
-        raise GuardError(message)
-
-
 def _starlike(arms):
     try:
         arms = [int(a) for a in arms.split(",")]
@@ -144,7 +139,8 @@ def _cmd_rank(args, out):
     tree = trees.canonical_form(_read_tree_arg(args))
     ranks = trees.all_ranks(tree)
     if args.vertex is not None:
-        _require(0 <= args.vertex < len(tree), "vertex index out of range")
+        if not 0 <= args.vertex < len(tree):
+            raise GuardError("vertex index out of range")
         out.write(f"{ranks[args.vertex]}\n")
     else:
         for v, r in enumerate(ranks):
@@ -192,19 +188,19 @@ def _cmd_verify(args, out):
     if args.max_leaves is None and not args.kary and not args.starlike:
         raise GuardError("nothing to verify: pass --max-leaves, --kary or --starlike")
     if args.max_leaves is not None:
-        _require(args.max_leaves >= 3, "--max-leaves must be at least 3")
+        _count(args.max_leaves, "--max-leaves", 3)
         exhaustive._leaf_guard(args.max_leaves)
     if args.kary:
         n, k = args.kary
-        _require(n >= 1, "--kary order must be at least 1")
-        _require(k >= 2, "--kary arity must be at least 2")
+        _count(n, "--kary order", 1)
+        _count(k, "--kary arity", 2)
         # the orders of the proper k-ary trees up to n
         kary_orders = range(1, n + 1, k)
         exhaustive._kary_guard(kary_orders[-1], k, proper=True)
     if args.starlike:
         n, k = args.starlike
-        _require(k >= 1, "--starlike degree must be at least 1")
-        _require(n > k, "--starlike order must exceed the degree")
+        _count(k, "--starlike degree", 1)
+        _count(n, "--starlike order", k + 1)
         starlike_orders = range(k + 1, n + 1)
         exhaustive._kary_guard(n, None)
     if args.max_leaves is not None:

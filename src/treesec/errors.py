@@ -2,7 +2,9 @@
 
 Three failure categories map onto the CLI exit codes: malformed tree text
 (ParseError), violated operation preconditions (GuardError), and refused
-oversized requests (SizeError).
+oversized requests (SizeError).  :func:`_count` is the one place where a
+count argument (a leaf count, height, order, arity or level) is checked:
+its type, its lower bound and its size guard.
 """
 
 __all__ = ["TreesecError", "ParseError", "GuardError", "SizeError"]
@@ -29,3 +31,17 @@ class GuardError(TreesecError):
 
 class SizeError(TreesecError):
     """The request exceeds a built-in size guard."""
+
+
+def _count(value, name, low, high=None):
+    """Return ``value`` if it is an int (not a bool) with ``low <= value``
+    and, unless ``high`` is None, ``value <= high``.  Otherwise raise
+    GuardError for a non-int or a value under ``low``, and SizeError for
+    one over ``high``."""
+    if type(value) is not int:
+        raise GuardError(f"{name} must be an integer")
+    if value < low:
+        raise GuardError(f"{name} must be at least {low}")
+    if high is not None and value > high:
+        raise SizeError(f"{name} over guard ({high})")
+    return value

@@ -54,7 +54,7 @@ root-rank check on one :func:`_kshapes` build.
 from collections import Counter, namedtuple
 from itertools import chain, combinations_with_replacement
 
-from .errors import GuardError, SizeError
+from .errors import GuardError, SizeError, _count
 from .trees import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY, parse
 
 __all__ = [
@@ -82,10 +82,7 @@ _BOPEN = 2 * _BLEAF
 
 
 def _leaf_guard(leaves):
-    if leaves < 1:
-        raise GuardError("leaf count must be at least 1")
-    if leaves > MAX_ENUM_LEAVES:
-        raise SizeError(f"leaf count over enumeration guard ({MAX_ENUM_LEAVES})")
+    _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
 
 
 def _class_pairs(table, leaves):
@@ -264,10 +261,7 @@ def maximizer_shapes(leaves):
 
 def census_table(max_leaves):
     """One census row per leaf count in [1, max_leaves]."""
-    if max_leaves < 1:
-        raise GuardError("max leaves must be at least 1")
-    if max_leaves > MAX_CENSUS_LEAVES:
-        raise SizeError(f"census guard is {MAX_CENSUS_LEAVES} leaves")
+    _count(max_leaves, "max leaves", 1, MAX_CENSUS_LEAVES)
     rows = []
     for leaves, level in enumerate(_shape_classes(max_leaves)[1:], 1):
         by_security = Counter()
@@ -294,10 +288,9 @@ _KLEAF = (_LEAF_KEY, 0, 0, 0)
 
 
 def _kary_guard(n, k, proper=False):
-    if n < 1:
-        raise GuardError("order must be at least 1")
-    if k is not None and k < 1:
-        raise GuardError("arity must be at least 1")
+    _count(n, "order", 1)
+    if k is not None:
+        _count(k, "arity", 1)
     limit = {1: 64, 2: 14, 3: 12}.get(k, 11)
     if proper and k:  # less its leaves, a proper shape is an at-most-k one, 1:1
         limit = min(limit * k + 1, 67)  # k = 6's limit: every order is walked
@@ -374,6 +367,8 @@ def _root_rank_rows(orders, k=None, root_degree=None, proper=False):
     extremes, all measured on one build of the tables of the last order."""
     for n in (orders[0], orders[-1]):
         _kary_guard(n, k, proper)
+    if root_degree is not None:
+        _count(root_degree, "root degree", 1)
     levels = _kshapes(orders[-1], k, proper)
     for n in orders:
         shapes = [s for s in levels[n] if root_degree is None or s[3] == root_degree]

@@ -7,7 +7,7 @@ repeated multiplication); no floating point is involved anywhere.
 from collections import namedtuple
 
 from .builders import LEAF_RANGE, binary_power_representation
-from .errors import GuardError, SizeError
+from .errors import _count
 
 __all__ = [
     "BoundReport",
@@ -25,17 +25,14 @@ __all__ = [
 
 def floor_log2(x):
     """floor(log2(x)) for a positive integer."""
-    if x < 1:
-        raise GuardError("argument must be positive")
+    _count(x, "argument", 1)
     return x.bit_length() - 1
 
 
 def intlog(base, x):
     """floor(log_base(x)): the largest e with base**e <= x."""
-    if base < 2:
-        raise GuardError("base must be at least 2")
-    if x < 1:
-        raise GuardError("argument must be positive")
+    _count(base, "base", 2)
+    _count(x, "argument", 1)
     e = 0
     power = base
     while power <= x:
@@ -46,8 +43,7 @@ def intlog(base, x):
 
 def zero_bits(x):
     """Number of zero bits in the binary expansion of a positive integer."""
-    if x < 1:
-        raise GuardError("argument must be positive")
+    _count(x, "argument", 1)
     return x.bit_length() - x.bit_count()
 
 
@@ -58,10 +54,7 @@ def max_security(leaves):
     attained by :func:`~treesec.builders.build_power_spine` (and by
     :func:`~treesec.builders.build_almost_complete`).
     """
-    if leaves < 1:
-        raise GuardError("leaf count must be at least 1")
-    if leaves > LEAF_RANGE:
-        raise SizeError(f"leaf count over guard ({LEAF_RANGE})")
+    _count(leaves, "leaf count", 1, LEAF_RANGE)
     return 2 * (leaves - floor_log2(leaves) - 1) + zero_bits(leaves)
 
 
@@ -77,8 +70,7 @@ def power_spine_security(leaves):
 
 def complete_binary_security(height):
     """Security of the complete binary tree: 2**(height+1) - height - 2."""
-    if height < 0:
-        raise GuardError("height must be non-negative")
+    _count(height, "height", 0)
     return (1 << (height + 1)) - height - 2
 
 
@@ -91,8 +83,7 @@ class BoundReport(namedtuple("BoundReport", "value")):
 def max_root_rank_general(order):
     """Maximum root rank over all rooted trees of the given order: order - 1,
     attained exactly by a path rooted at one of its ends."""
-    if order < 1:
-        raise GuardError("order must be at least 1")
+    _count(order, "order", 1)
     return BoundReport(value=order - 1)
 
 
@@ -100,10 +91,8 @@ def max_root_rank_starlike(order, k):
     """Maximum root rank over trees of the given order whose root has degree
     k: floor((order-1)/k), attained by a starlike tree whose shortest arm
     has that length."""
-    if k < 1:
-        raise GuardError("root degree must be at least 1")
-    if order < k + 1:
-        raise GuardError("order must be at least k + 1")
+    _count(k, "root degree", 1)
+    _count(order, "order", k + 1)
     return BoundReport(value=(order - 1) // k)
 
 
@@ -114,8 +103,6 @@ def max_root_rank_kary(order, k):
     k-ary tree's root rank.  Outdegrees at most k admit a path (order - 1).
     The value is h-1 exactly when (k**h - 1)/(k-1) <= order < (k**(h+1) - 1)/(k-1).
     """
-    if k < 2:
-        raise GuardError("arity must be at least 2")
-    if order < 1:
-        raise GuardError("order must be at least 1")
+    _count(k, "arity", 2)
+    _count(order, "order", 1)
     return BoundReport(value=intlog(k, order * (k - 1) + 1) - 1)

@@ -22,7 +22,7 @@ ignored; any other stray character is a parse error.  A JSON form
 
 from collections import namedtuple
 
-from .errors import GuardError, ParseError, SizeError
+from .errors import GuardError, ParseError, SizeError, _count
 
 __all__ = [
     "RootedTree",
@@ -345,8 +345,7 @@ def protected_count(tree, level):
     Level 0 counts every vertex; level 2 matches the classical notion of a
     protected vertex.
     """
-    if level < 0:
-        raise GuardError("level must be non-negative")
+    _count(level, "level", 0)
     if level == 0:
         return len(tree)
     return sum(1 for r in all_ranks(tree) if r >= level)
