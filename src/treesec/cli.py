@@ -183,56 +183,55 @@ def _cmd_enumerate(args, out):
             out.write(block + "\n")
 
 
+def _security_rows(top):
+    # every leaf count is measured on one build of the shape tables
+    for row in islice(exhaustive._brute_force_rows(top), 2, None):  # from ℓ = 3
+        yield row.leaf_count, formulas.max_security(row.leaf_count), row.max_security
+
+
+def _kary_rows(orders, k):
+    for n, got in exhaustive._root_rank_rows(orders, k, proper=True):
+        want = formulas.max_root_rank_kary(n, k).value
+        yield n, want, got.max_root_rank
+        yield n, want, got.max_vertex_rank
+
+
+def _starlike_rows(orders, k):
+    for n, got in exhaustive._root_rank_rows(orders, root_degree=k):
+        yield n, formulas.max_root_rank_starlike(n, k).value, got.max_root_rank
+
+
 def _cmd_verify(args, out):
-    # every argument is checked before any shape table is built
-    if args.max_leaves is None and not args.kary and not args.starlike:
-        raise GuardError("nothing to verify: pass --max-leaves, --kary or --starlike")
+    # every argument is checked before any shape table is built; the rows
+    # come from generator functions, so nothing runs until the loop below
+    checks = []
     if args.max_leaves is not None:
-        _count(args.max_leaves, "--max-leaves", 3)
-        exhaustive._leaf_guard(args.max_leaves)
+        top = _count(args.max_leaves, "--max-leaves", 3, exhaustive.MAX_ENUM_LEAVES)
+        checks.append((f"formula = oracle for ℓ=3..{top}", _security_rows(top)))
     if args.kary:
         n, k = args.kary
         _count(n, "--kary order", 1)
         _count(k, "--kary arity", 2)
-        # the orders of the proper k-ary trees up to n
-        kary_orders = range(1, n + 1, k)
-        exhaustive._kary_guard(kary_orders[-1], k, proper=True)
+        orders = range(1, n + 1, k)  # the orders of the proper k-ary trees up to n
+        exhaustive._kary_guard(orders[-1], k, proper=True)
+        claim = f"k-ary root rank = oracle for n=1..{n}, k={k}"
+        checks.append((claim, _kary_rows(orders, k)))
     if args.starlike:
         n, k = args.starlike
         _count(k, "--starlike degree", 1)
         _count(n, "--starlike order", k + 1)
-        starlike_orders = range(k + 1, n + 1)
         exhaustive._kary_guard(n, None)
-    if args.max_leaves is not None:
-        # every leaf count is measured on one build of the shape tables
-        for census in exhaustive._brute_force_rows(args.max_leaves):
-            leaves = census.leaf_count
-            want = formulas.max_security(leaves)
-            if leaves >= 3 and census.max_security != want:
+        claim = f"degree-{k} root rank = oracle for n={k + 1}..{n}"
+        checks.append((claim, _starlike_rows(range(k + 1, n + 1), k)))
+    if not checks:
+        raise GuardError("nothing to verify: pass --max-leaves, --kary or --starlike")
+    for claim, rows in checks:
+        for n, want, got in rows:
+            if want != got:
                 raise GuardError(
-                    f"formula {want} != oracle {census.max_security} at {leaves} leaves"
+                    f"{claim} fails at n={n}: formula {want}, oracle {got}"
                 )
-        out.write(f"OK: formula = oracle for ℓ=3..{args.max_leaves}\n")
-    if args.kary:
-        n, k = args.kary
-        for order, got in exhaustive._root_rank_rows(kary_orders, k, proper=True):
-            want = formulas.max_root_rank_kary(order, k).value
-            if got.max_root_rank != want or got.max_vertex_rank != want:
-                raise GuardError(
-                    f"k-ary root-rank mismatch at n={order}, k={k}: "
-                    f"formula {want}, oracle {got.max_root_rank}"
-                )
-        out.write(f"OK: k-ary root rank = oracle for n=1..{n}, k={k}\n")
-    if args.starlike:
-        n, k = args.starlike
-        for order, got in exhaustive._root_rank_rows(starlike_orders, root_degree=k):
-            want = formulas.max_root_rank_starlike(order, k).value
-            if got.max_root_rank != want:
-                raise GuardError(
-                    f"starlike root-rank mismatch at n={order}, k={k}: "
-                    f"formula {want}, oracle {got.max_root_rank}"
-                )
-        out.write(f"OK: degree-{k} root rank = oracle for n={k + 1}..{n}\n")
+        out.write(f"OK: {claim}\n")
 
 
 def _cmd_table(args, out):

@@ -81,10 +81,6 @@ _BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
 _BOPEN = 2 * _BLEAF
 
 
-def _leaf_guard(leaves):
-    _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
-
-
 def _class_pairs(table, leaves):
     """Grow ``table`` from its level 1 to ``leaves`` leaves.  Each level n
     is appended as ``n.bit_length()`` fresh values of level 1's type, one
@@ -92,7 +88,7 @@ def _class_pairs(table, leaves):
     each unordered pair of root-rank classes that makes n-leaf shapes
     (a <= b = n - a, ry >= rx where the halves are equal); every pair of
     shapes from the two classes has root rank ``rank``."""
-    _leaf_guard(leaves)
+    _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
     fresh = type(table[1][0])
     for n in range(2, leaves + 1):
         table.append([fresh() for _ in range(n.bit_length())])
@@ -186,16 +182,12 @@ def count_shapes(leaves):
     return sum(group.total() for group in _shape_classes(leaves)[leaves])
 
 
-class ShapeCensus(
-    namedtuple(
-        "ShapeCensus",
-        "leaf_count total_shapes max_security maximizer_count maximizer_fraction",
-    )
-):
-    """Exhaustive security census over one leaf count; the fraction is a
-    :class:`fractions.Fraction`."""
-
-    __slots__ = ()
+ShapeCensus = namedtuple(
+    "ShapeCensus",
+    "leaf_count total_shapes max_security maximizer_count maximizer_fraction",
+)
+ShapeCensus.__doc__ = """Exhaustive security census over one leaf count; the
+fraction is a :class:`fractions.Fraction`."""
 
 
 def _census_row(leaves, total, best, count):
@@ -354,12 +346,10 @@ def enumerate_kary_trees(n, k=None, proper=False):
         yield parse(shape[0].translate(_KEY_TEXT))
 
 
-class RootRankExtremes(
-    namedtuple("RootRankExtremes", "max_root_rank max_vertex_rank trees_scanned")
-):
-    """Brute-force root-rank maxima over one enumerated class of trees."""
-
-    __slots__ = ()
+RootRankExtremes = namedtuple(
+    "RootRankExtremes", "max_root_rank max_vertex_rank trees_scanned"
+)
+RootRankExtremes.__doc__ = "Brute-force root-rank maxima over one class of trees."
 
 
 def _root_rank_rows(orders, k=None, root_degree=None, proper=False):

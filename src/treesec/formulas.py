@@ -74,10 +74,8 @@ def complete_binary_security(height):
     return (1 << (height + 1)) - height - 2
 
 
-class BoundReport(namedtuple("BoundReport", "value")):
-    """A closed-form maximum."""
-
-    __slots__ = ()
+BoundReport = namedtuple("BoundReport", "value")
+BoundReport.__doc__ = "A closed-form maximum."
 
 
 def max_root_rank_general(order):

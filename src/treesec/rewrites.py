@@ -11,7 +11,9 @@ different maximizer of exactly equal security, and
 Every switching and hoist step runs on one private arena that keeps the
 children in canonical order and the measures up to date; it measures
 security on both sides and raises GuardError rather than return a tree of
-lower security.
+lower security.  Level by level, an accepted switch never lowers the number
+of vertices of rank >= j at any level j (checked on every switch of every
+shape up to 12 leaves).
 
 All rewrites return new trees; inputs are never mutated.  Vertex ids are
 preserved by every switching/hoist rewrite, so the edge pairs recorded in a
@@ -306,15 +308,11 @@ def hoist_min_saturated(tree):
     return RootedTree(arena._parents)
 
 
-class RewriteStep(
-    namedtuple(
-        "RewriteStep", "rule edges_removed edges_added security_before security_after"
-    )
-):
-    """One applied rewrite: rule name, edge surgery, and the security on
-    both sides (never decreasing)."""
-
-    __slots__ = ()
+RewriteStep = namedtuple(
+    "RewriteStep", "rule edges_removed edges_added security_before security_after"
+)
+RewriteStep.__doc__ = """One applied rewrite: rule name, edge surgery, and the
+security on both sides (never decreasing)."""
 
 
 class RewriteTrace(namedtuple("RewriteTrace", "steps")):

@@ -421,15 +421,11 @@ def is_isomorphic(a, b):
     return _canonical(a)[0] == _canonical(b)[0]
 
 
-class ShapeReport(
-    namedtuple(
-        "ShapeReport",
-        "leaf_count height is_proper_binary is_complete_binary outdegree_sequence",
-    )
-):
-    """Shape summary produced by :func:`classify`."""
-
-    __slots__ = ()
+ShapeReport = namedtuple(
+    "ShapeReport",
+    "leaf_count height is_proper_binary is_complete_binary outdegree_sequence",
+)
+ShapeReport.__doc__ = "Shape summary produced by :func:`classify`."
 
 
 def classify(tree):

@@ -422,6 +422,14 @@ class TestTreeInputs:
             assert t.leaf_count() == 6
 
 
+# the OK: lines of verify --max-leaves 6 --kary 7 2 --starlike 6 2
+VERIFY_OK_LINES = [
+    "OK: formula = oracle for ℓ=3..6\n",
+    "OK: k-ary root rank = oracle for n=1..7, k=2\n",
+    "OK: degree-2 root rank = oracle for n=3..6\n",
+]
+
+
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "security", "--tree", "((L)")
@@ -522,6 +530,48 @@ class TestExitCodes:
     def test_verify_empty_starlike_range_is_one(self, capsys):
         code, out, err = run(capsys, "verify", "--starlike", "3", "5")
         assert code == 1 and "error" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "name,ran,message",
+        [
+            (
+                "max_security",
+                0,
+                "formula = oracle for ℓ=3..6 fails at n=5: formula 6, oracle 5",
+            ),
+            (
+                "max_root_rank_kary",
+                1,
+                "k-ary root rank = oracle for n=1..7, k=2 fails at n=5: "
+                "formula 2, oracle 1",
+            ),
+            (
+                "max_root_rank_starlike",
+                2,
+                "degree-2 root rank = oracle for n=3..6 fails at n=5: "
+                "formula 3, oracle 2",
+            ),
+        ],
+        ids=["max-leaves", "kary", "starlike"],
+    )
+    def test_verify_disagreement_is_one_and_stops_that_check(
+        self, capsys, monkeypatch, name, ran, message
+    ):
+        # one closed form is off by one at n = 5: the checks before it print
+        # their OK: lines, and that check prints none
+        real = getattr(formulas, name)
+
+        def off_at_five(n, *args):
+            want = real(n, *args)
+            if n != 5:
+                return want
+            return want + 1 if type(want) is int else want._replace(value=want.value + 1)
+
+        monkeypatch.setattr(formulas, name, off_at_five)
+        argv = ["--max-leaves", "6", "--kary", "7", "2", "--starlike", "6", "2"]
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (1, f"treesec: error: {message}\n")
+        assert out == "".join(VERIFY_OK_LINES[:ran])
 
 
 # the census commands that read the counting recurrence, at their guards

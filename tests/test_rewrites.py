@@ -136,21 +136,33 @@ class TestGuardsPinned:
     refusal messages are pinned, so the guards cannot move at a boundary."""
 
     def test_verdicts_up_to_twelve_leaves(self):
+        # and no accepted switch lowers the number of vertices of rank >= j
+        # at any level j
+        def levels(t):
+            return [protected_count(t, j) for j in range(1, max(all_ranks(t)) + 1)]
+
         digest = hashlib.sha256()
-        verdicts = 0
+        verdicts = accepted = 0
         for leaves in range(2, 13):
             for t in enumerate_shapes(leaves):
+                before = levels(t)
                 for u, w in equal_rank_saturated_pairs(t):
                     ctx = SwitchContext.for_pair(t, u, w)
                     for op in SWITCH_OPS:
                         try:
-                            verdict = repr(op(t, ctx)._parents)
+                            out = op(t, ctx)
                         except GuardError as e:
                             verdict = str(e)
+                        else:
+                            verdict = repr(out._parents)
+                            after = levels(out) + [0] * len(before)
+                            assert all(a >= b for a, b in zip(after, before))
+                            accepted += 1
                         verdicts += 1
                         line = f"{leaves} {u} {w} {op.__name__} {verdict}\n"
                         digest.update(line.encode())
         assert verdicts == 67824
+        assert accepted == 10878
         assert digest.hexdigest() == GUARD_DIGEST
 
 
