@@ -50,10 +50,12 @@ class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
 
     @classmethod
     def for_pair(cls, tree, u, w):
-        """Derive parents and siblings for the pair (u, w).
+        """Derive parents and siblings for the pair (u, w) of a
+        :class:`RootedTree`.
 
-        Raises GuardError if either vertex is out of range or the root, or
-        its parent does not have exactly two children.
+        Raises GuardError if either id is not an int or is out of range,
+        the two vertices are equal, either vertex is the root, or its parent
+        does not have exactly two children.
         """
         for v in (u, w):
             if type(v) is not int or not 0 <= v < len(tree):
@@ -66,14 +68,13 @@ class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
                 raise GuardError(f"vertex {v} is the root and has no parent")
             if len(tree.children(p)) != 2:
                 raise GuardError(f"parent of vertex {v} must have exactly two children")
-        return _pair_context(tree, u, w)
+        return _pair_context(tree._parents, tree._child_lists(), u, w)
 
 
-def _pair_context(tree, u, w):
+def _pair_context(par, kids, u, w):
     """The context of two distinct non-root vertices whose parents have two
-    children each, read without checks."""
-    par = tree._parents
-    (a, b), (c, d) = tree.children(par[u]), tree.children(par[w])
+    children each, read without checks from the parent and child lists."""
+    (a, b), (c, d) = kids[par[u]], kids[par[w]]
     return SwitchContext(u, w, par[u], par[w], b if a == u else a, d if c == w else c)
 
 
@@ -116,14 +117,6 @@ def _rewire(tree, removed, added):
     return RootedTree(par)
 
 
-def _switch_edges(ctx):
-    if ctx.u0 == ctx.w0:
-        # u and w are siblings, so w's sibling is u itself and the exchange
-        # degenerates to the identity
-        return (), ()
-    return ((ctx.u0, ctx.u), (ctx.w0, ctx.w1)), ((ctx.w0, ctx.u), (ctx.u0, ctx.w1))
-
-
 # the switching rules, in the order normalization tries them
 _RULES = (
     "switch_disjoint",
@@ -140,9 +133,11 @@ def _nesting(tree, ctx):
     return -1 if _is_strict_ancestor(tree, ctx.w0, ctx.u0) else 0
 
 
-def _refusal(rule, tree, ctx, ranks, nesting):
+def _refusal(rule, arena, ctx, nesting):
     """Why the guard of switching ``rule`` refuses an already checked
-    context, or None if it accepts; ``nesting`` is :func:`_nesting`."""
+    context on the arena, or None if it accepts; ``nesting`` is
+    :func:`_nesting`."""
+    ranks = arena.rank
     r_w1 = ranks[ctx.w1]
     if rule == "switch_disjoint":
         if nesting:
@@ -160,40 +155,44 @@ def _refusal(rule, tree, ctx, ranks, nesting):
         if rule == "spine_reinsert":
             return "rank(w1) < rank(u) required"
         return "rank(w1) <= rank(u) - 1 required; use the high-sibling switch"
-    v1 = tree.parent(ctx.u0)
+    v1 = arena._parents[ctx.u0]
     if rule == "switch_nested_low_sibling":
-        if v1 is not None and ranks[v1] > 2 + r_w1:
+        if v1 >= 0 and ranks[v1] > 2 + r_w1:
             return "rank of u0's parent exceeds 2 + rank(w1); use spine_reinsert"
         return None
-    if v1 is None:
+    if v1 < 0:
         return "u0 must not be the root; use a nested switch"
     if ranks[v1] <= r_w1:
         return "u0's parent must outrank w1; use a nested switch"
     return None
 
 
-def _spine_reinsert_edges(tree, ctx, ranks):
+def _rule_edges(rule, arena, ctx):
+    """Edge surgery of a switching rule whose guard accepts the context on
+    the arena: the three exchange rules swap the subtrees at u and w1,
+    spine_reinsert moves w0 up the root path."""
+    u, w, u0, w0, _, w1 = ctx
+    if rule != "spine_reinsert":
+        if u0 == w0:
+            # u and w are siblings, so w's sibling is u itself and the
+            # exchange degenerates to the identity
+            return (), ()
+        return ((u0, u), (w0, w1)), ((w0, u), (u0, w1))
     # climb the root path above u0 to the first vertex that w1 does not
     # outrank; w0 (keeping child w1) is spliced in below it, or becomes the
     # new root if every root-path vertex outranks w1, and w takes w0's place
-    below = tree.parent(ctx.u0)
-    above = tree.parent(below)
-    while above is not None and ranks[above] > ranks[ctx.w1]:
-        below, above = above, tree.parent(above)
-    wp = tree.parent(ctx.w0)
-    removed = ((ctx.w0, ctx.w), (wp, ctx.w0))
-    added = ((ctx.w0, below), (wp, ctx.w))
-    if above is not None:
+    par, rank = arena._parents, arena.rank
+    below = par[u0]
+    above = par[below]
+    while above >= 0 and rank[above] > rank[w1]:
+        below, above = above, par[above]
+    wp = par[w0]
+    removed = ((w0, w), (wp, w0))
+    added = ((w0, below), (wp, w))
+    if above >= 0:
         removed += ((above, below),)
-        added = ((above, ctx.w0), *added)
+        added = ((above, w0), *added)
     return removed, added
-
-
-def _rule_edges(rule, tree, ctx, ranks):
-    """Edge surgery of a switching rule whose guard accepts the context."""
-    if rule == "spine_reinsert":
-        return _spine_reinsert_edges(tree, ctx, ranks)
-    return _switch_edges(ctx)
 
 
 def _apply_rule(rule, tree, ctx):
@@ -208,13 +207,12 @@ def _apply_rule(rule, tree, ctx):
     arena = _Arena(tree)
     if not (arena.is_saturated(ctx.u) and arena.is_saturated(ctx.w)):
         raise GuardError("both switched vertices must be saturated")
-    ranks = arena.rank
-    if ranks[ctx.u] != ranks[ctx.w]:
+    if arena.rank[ctx.u] != arena.rank[ctx.w]:
         raise GuardError("switched vertices must have equal rank")
-    refusal = _refusal(rule, arena, ctx, ranks, _nesting(arena, ctx))
+    refusal = _refusal(rule, arena, ctx, _nesting(arena, ctx))
     if refusal is not None:
         raise GuardError(refusal)
-    _step(arena, rule, *_rule_edges(rule, arena, ctx, ranks))
+    _step(arena, rule, *_rule_edges(rule, arena, ctx))
     return RootedTree(arena._parents)
 
 
@@ -266,22 +264,22 @@ def _hoist_edges(arena):
     distinct."""
     if arena.dup[arena.root]:
         raise GuardError("repeated partition exponents; normalize first")
-    s = arena.root
+    par, kids, s = arena._parents, arena.kids, arena.root
     for u, _ in sorted(arena.saturated(), key=lambda vm: vm[1]):
         if u == s:
             return None
-        u0 = arena.parent(u)
+        u0 = par[u]
         if u0 == s:
-            a, b = arena.children(s)
+            a, b = kids[s]
             s = b if a == u else a
             continue
-        a, b = arena.children(u0)
+        a, b = kids[u0]
         u1 = b if a == u else a
-        up = arena.parent(u0)
+        up = par[u0]
         removed = [(up, u0), (u0, u1)]
         added = [(up, u1), (u0, s)]
-        ps = arena.parent(s)
-        if ps is not None:
+        ps = par[s]
+        if ps >= 0:
             removed.append((ps, s))
             added.append((ps, u0))
         return tuple(removed), tuple(added)
@@ -333,14 +331,15 @@ class RewriteTrace(namedtuple("RewriteTrace", "steps")):
         return "\n".join(lines)
 
 
-def _select_switch(tree, x, y, ranks):
-    """The first (rule, context) whose guard accepts a saturated pair, taken
-    unchecked: oriented (x, y) before (y, x), the rules in :data:`_RULES` order."""
-    ctx = _pair_context(tree, x, y)
-    nesting = _nesting(tree, ctx)
+def _select_switch(arena, x, y):
+    """The first (rule, context) whose guard accepts a saturated pair of the
+    arena, taken unchecked: oriented (x, y) before (y, x), the rules in
+    :data:`_RULES` order."""
+    ctx = _pair_context(arena._parents, arena.kids, x, y)
+    nesting = _nesting(arena, ctx)
     for _ in range(2):
         for rule in _RULES:
-            if _refusal(rule, tree, ctx, ranks, nesting) is None:
+            if _refusal(rule, arena, ctx, nesting) is None:
                 return rule, ctx
         ctx = SwitchContext(ctx.w, ctx.u, ctx.w0, ctx.u0, ctx.w1, ctx.u1)
         nesting = -nesting
@@ -384,9 +383,7 @@ class _Arena:
     vertices whose children changed, each vertex once and in walk order (a
     per-vertex stamp, the number of the last walk through it, marks the
     visited vertices), and :meth:`saturated` walks the stored order without
-    comparing anything.  Like a :class:`RootedTree` it has a length and exposes
-    ``_parents``, ``root``, ``parent`` and ``children``, so the switching
-    and hoist helpers run on it unchanged.
+    comparing anything.
     """
 
     def __init__(self, tree):
@@ -401,16 +398,6 @@ class _Arena:
         self.stamp, self.walks = [0] * n, 0
         self.security = 0
         self._measure(reversed(tree._top_down_order()))
-
-    def __len__(self):
-        return len(self._parents)
-
-    def parent(self, v):
-        p = self._parents[v]
-        return None if p < 0 else p
-
-    def children(self, v):
-        return self.kids[v]
 
     def _measure(self, order):
         """Recompute the measures and the canonical child order of the
@@ -555,8 +542,8 @@ def normalize_to_power_spine(tree):
         (x, _), (y, _) = islice(arena.saturated(repeated), 2)
         # distinct complete subtrees of one height are disjoint: neither is the root
         while h[x] == h[y] == repeated and h[par[x]] < 0 and h[par[y]] < 0:
-            rule, ctx = _select_switch(arena, x, y, arena.rank)
-            apply(rule, *_rule_edges(rule, arena, ctx, arena.rank))
+            rule, ctx = _select_switch(arena, x, y)
+            apply(rule, *_rule_edges(rule, arena, ctx))
 
     while (edges := _hoist_edges(arena)) is not None:
         apply("hoist_min_saturated", *edges)

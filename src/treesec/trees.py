@@ -61,8 +61,9 @@ class RootedTree:
     def __init__(self, parents):
         """Build a tree from a parent array, validating its shape.
 
-        Raises GuardError unless there is exactly one root, every parent id
-        is a valid vertex id, and every vertex is reachable from the root.
+        The root is marked by the int -1 or by None.  Raises GuardError
+        unless there is exactly one root, every parent id is a valid vertex
+        id, and every vertex is reachable from the root.
         """
         parents = list(parents)
         n = len(parents)
@@ -70,7 +71,7 @@ class RootedTree:
             raise GuardError("a tree needs at least one vertex")
         roots = 0
         for i, p in enumerate(parents):
-            if p == -1 or p is None:
+            if p is None or (p == -1 and isinstance(p, int)):
                 parents[i] = -1
                 roots += 1
             elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n or p == i:

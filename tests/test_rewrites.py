@@ -32,7 +32,7 @@ from treesec import (
 )
 from treesec import rewrites
 from treesec.cli import main
-from treesec.rewrites import _rewire, _switch_edges
+from treesec.rewrites import _rewire, _rule_edges
 from treesec.trees import _canonical
 from oracles import random_kary, random_proper_binary, shuffled_copy
 
@@ -84,10 +84,9 @@ class TestSwitchContext:
     def test_out_of_range_ids_rejected(self, u, w):
         t = parse("((LL)(LL))")
         bad = next(v for v in (u, w) if not 0 <= v < len(t))
-        for tree in (t, rewrites._Arena(t)):
-            with pytest.raises(GuardError) as err:
-                SwitchContext.for_pair(tree, u, w)
-            assert str(err.value) == f"vertex id {bad} out of range"
+        with pytest.raises(GuardError) as err:
+            SwitchContext.for_pair(t, u, w)
+        assert str(err.value) == f"vertex id {bad} out of range"
 
     @pytest.mark.parametrize(
         "bad", [lambda v: None, lambda v: "2", float], ids=["None", "str", "float"]
@@ -198,13 +197,13 @@ class TestSwitchDisjoint:
         # no saturated context reaches this, so drive the raw edge formula
         t = parse("(((LL)(LL))((LL)(LL)))")
         ctx = SwitchContext.for_pair(t, 2, 9)  # the two inner (LL) blocks
-        out = _rewire(t, *_switch_edges(ctx))
+        out = _rewire(t, *_rule_edges("switch_disjoint", rewrites._Arena(t), ctx))
         assert is_isomorphic(out, t) and security(out) == security(t)
 
     def test_raw_formula_with_shared_parent_is_identity(self):
         t = parse("((LL)(LL))")
         ctx = SwitchContext.for_pair(t, 1, 4)  # siblings: u0 == w0
-        out = _rewire(t, *_switch_edges(ctx))
+        out = _rewire(t, *_rule_edges("switch_disjoint", rewrites._Arena(t), ctx))
         assert serialize(out) == serialize(t)
 
     def test_a_switch_that_lowers_security_is_refused(self, monkeypatch):
@@ -212,7 +211,7 @@ class TestSwitchDisjoint:
         t = parse("((L(LL))(L(LL)))")
         ctx = SwitchContext.for_pair(t, 2, 7)
         lowering = (((3, 4), (0, 6)), ((3, 6), (0, 4)))
-        monkeypatch.setattr(rewrites, "_switch_edges", lambda ctx: lowering)
+        monkeypatch.setattr(rewrites, "_rule_edges", lambda *args: lowering)
         with pytest.raises(
             GuardError, match="switch_disjoint lowered security from 6 to 5"
         ):
@@ -323,6 +322,22 @@ class TestSpineReinsert:
             assert ctx.w1 in out.children(ctx.w0)
             assert out.parent(ctx.w) == t.parent(ctx.w0)
 
+    def test_splice_below_a_root_path_vertex(self):
+        # the root 0 outranks w1 but vertex 2 does not, so w0 = 11 (keeping
+        # w1 = 19) is spliced in between them and w = 12 takes its place
+        t = parse("(L((((LL)(LL))(((LL)(LL))(LL)))((LL)(LL))))")
+        ctx = SwitchContext.for_pair(t, 4, 12)
+        assert ctx == SwitchContext(u=4, w=12, u0=3, w0=11, u1=11, w1=19)
+        out = spine_reinsert(t, ctx)
+        assert out.parent(11) == 0 and out.parent(2) == 11
+        before, after = all_ranks(t), all_ranks(out)
+        assert all(before[v] == after[v] for v in (ctx.w, ctx.w1, ctx.w0))
+        assert security(t) == security(out) == 22
+        assert out._parents == [
+            -1, 0, 11, 2, 3, 4, 5, 5, 4, 8, 8, 0, 3, 12, 13,
+            13, 12, 16, 16, 11, 19, 19, 2, 22, 23, 23, 22, 26, 26,
+        ]
+
     def test_guard_requires_low_sibling(self):
         t = parse("(L(L(LL)))")
         ctx = SwitchContext.for_pair(t, 1, 3)
@@ -429,7 +444,7 @@ class TestNormalize:
 
     def test_step_guard_raises_a_package_error(self, monkeypatch, capsys):
         # a switch that changes nothing would loop forever
-        monkeypatch.setattr(rewrites, "_switch_edges", lambda ctx: ((), ()))
+        monkeypatch.setattr(rewrites, "_rule_edges", lambda *args: ((), ()))
         with pytest.raises(GuardError, match="step guard"):
             normalize_to_power_spine(parse("(L(L(LL)))"))
         assert main(["normalize", "--tree", "(L(L(LL)))"]) == 1
@@ -471,7 +486,7 @@ class TestNormalize:
                 group = sorted(
                     (v for v, m in sat if m == repeated), key=pos.__getitem__
                 )
-                rule, ctx = _select_switch(t, group[0], group[1], all_ranks(t))
+                rule, ctx = _select_switch(rewrites._Arena(t), group[0], group[1])
                 out = ops[rule](t, ctx)  # must not raise GuardError
                 assert security(out) >= security(t)
                 checked += 1
@@ -551,6 +566,23 @@ class TestNormalizePinned:
 
 class TestArena:
     """The normalizer's mutable arena: its surgery check and its repair."""
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda: switch_disjoint(
+                parse("((LL)(LL)L)"),
+                SwitchContext.for_pair(parse("((LL)(LL)L)"), 2, 5),
+            ),
+            lambda: hoist_min_saturated(parse("(LLL)")),
+            lambda: normalize_to_power_spine(parse("(LLL)")),
+        ],
+        ids=["switch_disjoint", "hoist_min_saturated", "normalize_to_power_spine"],
+    )
+    def test_non_proper_binary_trees_are_refused(self, rewrite):
+        with pytest.raises(GuardError) as err:
+            rewrite()
+        assert str(err.value) == "tree is not proper binary"
 
     def test_cyclic_surgery_is_refused(self):
         arena = rewrites._Arena(parse("(((LL)L)L)"))

@@ -555,6 +555,7 @@ class TestArenaValidation:
             ([-1, -2], "invalid parent -2 for vertex 1"),
             ([-1, 2, 1], "parent links contain a cycle or unreachable vertices"),
             ([2, 0, -1, 4, 3], "parent links contain a cycle or unreachable vertices"),
+            ([-1.0, 0, 0], "invalid parent -1.0 for vertex 0"),
         ],
     )
     def test_messages_are_pinned(self, parents, message):
