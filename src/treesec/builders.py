@@ -169,10 +169,7 @@ def build_starlike(arms):
     _count(1 + sum(arms), "order", 2, MAX_ORDER)
     parents = [-1]
     for a in arms:
-        prev = 0
-        for _ in range(a):
-            parents.append(prev)
-            prev = len(parents) - 1
+        _heap(parents, 0, a, 1)
     return RootedTree._make(parents)
 
 

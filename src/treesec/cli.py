@@ -185,8 +185,9 @@ def _cmd_enumerate(args, out):
 
 def _security_rows(top):
     # every leaf count is measured on one build of the shape tables
-    for row in islice(exhaustive._brute_force_rows(top), 2, None):  # from ℓ = 3
-        yield row.leaf_count, formulas.max_security(row.leaf_count), row.max_security
+    best = exhaustive._class_bests(exhaustive._bshapes(top))
+    for n in range(3, top + 1):
+        yield n, formulas.max_security(n), max(best[n])
 
 
 def _kary_rows(orders, k):

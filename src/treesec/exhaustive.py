@@ -45,9 +45,9 @@ is, and it takes nothing from :mod:`treesec.formulas`.
 :func:`count_shapes` and :func:`census_table` read it.  ``verify`` and
 every function that yields shapes measure the enumeration instead, so
 enumeration stays the oracle for the closed forms and the recurrence.  No
-table outlives its call.  Each check is a run of rows over one build:
-:func:`_brute_force_rows` measures all the leaf counts of ``verify`` on one
-:func:`_bshapes` build, and :func:`_root_rank_rows` all the orders of one
+table outlives its call.  Each check runs on one build: ``verify`` reads
+the :func:`_class_bests` of one :func:`_bshapes` build for all its leaf
+counts, and :func:`_root_rank_rows` measures all the orders of one
 root-rank check on one :func:`_kshapes` build.
 """
 
@@ -221,21 +221,13 @@ def _class_bests(secs):
     return best
 
 
-def _brute_force_rows(max_leaves):
-    """The brute-force census rows of 1..``max_leaves`` leaves, measured on
-    one build of the security tables."""
-    secs = _bshapes(max_leaves)
-    for leaves, (level, bests) in enumerate(zip(secs[1:], _class_bests(secs)[1:]), 1):
-        best = max(bests)
-        count = sum(group.count(best) for group in level)
-        yield _census_row(leaves, sum(map(len, level)), best, count)
-
-
 def brute_force_extremes(leaves):
     """Measure every shape: the exact maximum security, how many shapes
     attain it, and the fraction of shapes that do."""
-    *_, row = _brute_force_rows(leaves)
-    return row
+    secs = _bshapes(leaves)
+    level, best = secs[leaves], max(_class_bests(secs)[leaves])
+    count = sum(group.count(best) for group in level)
+    return _census_row(leaves, sum(map(len, level)), best, count)
 
 
 def maximizer_shapes(leaves):
@@ -355,8 +347,7 @@ RootRankExtremes.__doc__ = "Brute-force root-rank maxima over one class of trees
 def _root_rank_rows(orders, k=None, root_degree=None, proper=False):
     """Yield each of the ascending ``orders`` with its brute-force root-rank
     extremes, all measured on one build of the tables of the last order."""
-    for n in (orders[0], orders[-1]):
-        _kary_guard(n, k, proper)
+    _kary_guard(orders[-1], k, proper)
     if root_degree is not None:
         _count(root_degree, "root degree", 1)
     levels = _kshapes(orders[-1], k, proper)

@@ -397,7 +397,7 @@ class _Arena:
         self.dup = [0] * n
         self.stamp, self.walks = [0] * n, 0
         self.security = 0
-        self._measure(reversed(tree._top_down_order()))
+        self._measure(reversed(tree._order))
 
     def _measure(self, order):
         """Recompute the measures and the canonical child order of the

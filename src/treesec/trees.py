@@ -51,12 +51,14 @@ class RootedTree:
     """An immutable rooted tree stored as a parent array.
 
     ``parents[v]`` is the parent id of vertex ``v`` (-1 for the root).
-    Children are derived on demand, in increasing id order.  All operations
-    in this package treat trees as values: none mutates an existing tree,
-    so any tree may be shared freely across threads.
+    Children are derived on demand, in increasing id order.  ``_order``,
+    kept from construction, lists every parent before its children: it is
+    ``range(n)`` when each parent id is smaller than its child's.  All
+    operations in this package treat trees as values: none mutates an
+    existing tree, so any tree may be shared freely across threads.
     """
 
-    __slots__ = ("_parents", "_children", "_root", "_topo")
+    __slots__ = ("_parents", "_children", "_root", "_order")
 
     def __init__(self, parents):
         """Build a tree from a parent array, validating its shape.
@@ -78,24 +80,30 @@ class RootedTree:
                 raise GuardError(f"invalid parent {p!r} for vertex {i}")
         if roots != 1:
             raise GuardError(f"expected exactly one root, found {roots}")
-        self._init(parents, all(parents[i] < i for i in range(n)))
-        if len(self._top_down_order()) != n:
-            raise GuardError("parent links contain a cycle or unreachable vertices")
+        self._parents = parents
+        self._children = None
+        self._root = parents.index(-1)
+        if all(parents[i] < i for i in range(n)):
+            self._order = range(n)
+        else:  # the reachability check's breadth-first order is kept
+            self._order = order = [self._root]
+            ch = self._child_lists()
+            for v in order:
+                order.extend(ch[v])
+            if len(order) != n:
+                raise GuardError("parent links contain a cycle or unreachable vertices")
 
     @classmethod
     def _make(cls, parents):
         """Trusted constructor: no validation.  The caller promises a valid
         parent array in which every parent id is smaller than its child
-        ids."""
+        ids, so vertex 0 is the root."""
         self = object.__new__(cls)
-        self._init(parents, True)
-        return self
-
-    def _init(self, parents, topo):
         self._parents = parents
         self._children = None
-        self._root = parents.index(-1)
-        self._topo = topo
+        self._root = 0
+        self._order = range(len(parents))
+        return self
 
     def __len__(self):
         return len(self._parents)
@@ -150,21 +158,11 @@ class RootedTree:
             self._children = ch
         return self._children
 
-    def _top_down_order(self):
-        """Vertex ids with every parent before its children."""
-        if self._topo:
-            return range(len(self._parents))
-        order = [self._root]
-        ch = self._child_lists()
-        for v in order:
-            order.extend(ch[v])
-        return order
-
     def depths(self):
         """Depth of every vertex (root depth 0)."""
         d = [0] * len(self._parents)
         par = self._parents
-        for v in self._top_down_order():
+        for v in self._order:
             p = par[v]
             if p >= 0:
                 d[v] = d[p] + 1
@@ -281,7 +279,7 @@ def tree_to_json(tree):
     # appending every vertex to its parent's list keeps storage order
     par = tree._parents
     kids = [[] for _ in par]
-    for v in tree._top_down_order():
+    for v in tree._order:
         p = par[v]
         if p >= 0:
             kids[p].append({"children": kids[v]})
@@ -322,7 +320,7 @@ def all_ranks(tree):
     par = tree._parents
     big = n + 1
     ranks = [big] * n
-    for v in reversed(tree._top_down_order()):
+    for v in reversed(tree._order):
         rv = ranks[v]
         if rv == big:
             rv = 0
@@ -371,7 +369,7 @@ def _canonical(tree):
     kids = list(ch)
     # children are stored by increasing id, so a stable sort of the reversed
     # list, or taking b first on a tie, puts the higher id first
-    for v in reversed(tree._top_down_order()):
+    for v in reversed(tree._order):
         kv = ch[v]
         if len(kv) == 2:
             a, b = kv
@@ -466,7 +464,7 @@ def saturated_vertices(tree):
     ch = tree._child_lists()
     h = [0] * len(tree)
     found = []
-    for v in reversed(tree._top_down_order()):
+    for v in reversed(tree._order):
         kids = ch[v]
         if not kids:
             continue

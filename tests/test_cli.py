@@ -167,6 +167,10 @@ class TestExportDot:
         b = export_dot(parse(FIG1), annotate="ranks")
         assert a == b
 
+    def test_unknown_annotation_rejected(self):
+        with pytest.raises(GuardError, match="^unknown annotation 'x'$"):
+            export_dot(parse("(LL)"), annotate="x")
+
 
 class TestCommands:
     def test_security(self, capsys):
@@ -741,11 +745,8 @@ def test_package_imports_only_the_standard_library():
     assert imported - {"treesec"} <= sys.stdlib_module_names
 
 
-def test_package_import_skips_the_modules_it_does_not_need():
-    # a fresh interpreter without site, so that nothing else loads them:
-    # dataclasses pulls in inspect, and json and fractions are imported
-    # where they are used
-    probe = "import sys, treesec, treesec.cli; print(*sys.modules)"
+def _run_without_site(probe):
+    # a fresh interpreter without site, so that nothing else loads modules
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -754,9 +755,27 @@ def test_package_import_skips_the_modules_it_does_not_need():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    loaded = set(result.stdout.split())
+    return result.stdout
+
+
+def test_package_import_skips_the_modules_it_does_not_need():
+    # dataclasses pulls in inspect, and json and fractions are imported
+    # where they are used
+    probe = "import sys, treesec, treesec.cli; print(*sys.modules)"
+    loaded = set(_run_without_site(probe).split())
     assert "treesec.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "json", "fractions"}
+
+
+def test_verify_makes_no_fraction():
+    # verify reads the class bests, so it builds no census row; fractions
+    # loads only with a Fraction
+    out = _run_without_site(
+        "import sys; from treesec.cli import main; "
+        "code = main('verify --max-leaves 8 --kary 7 2 --starlike 6 2'.split()); "
+        "print(code, 'fractions' in sys.modules)"
+    )
+    assert out.splitlines()[-1] == "0 False"
 
 
 class _Writes:

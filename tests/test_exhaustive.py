@@ -136,8 +136,8 @@ class TestShapeClasses:
     def test_census_engines_agree_on_every_row(self):
         # the recurrence and the enumeration, held together on public rows
         top = exhaustive.MAX_CENSUS_LEAVES
-        assert census_table(top) == list(exhaustive._brute_force_rows(top))
-        for row in exhaustive._brute_force_rows(exhaustive.MAX_ENUM_LEAVES):
+        assert census_table(top) == [brute_force_extremes(n) for n in range(1, top + 1)]
+        for row in map(brute_force_extremes, range(1, exhaustive.MAX_ENUM_LEAVES + 1)):
             assert count_shapes(row.leaf_count) == row.total_shapes, row.leaf_count
 
     def test_counts_build_no_shape_table(self, monkeypatch):
@@ -278,7 +278,7 @@ class TestBestInClass:
         assert sum(map(len, want)) == 84
 
     def test_maximizer_counts_equal_the_byte_counts(self):
-        for row in exhaustive._brute_force_rows(exhaustive.MAX_ENUM_LEAVES):
+        for row in map(brute_force_extremes, range(1, exhaustive.MAX_ENUM_LEAVES + 1)):
             count = sum(1 for _ in maximizer_shapes(row.leaf_count))
             assert count == row.maximizer_count, row.leaf_count
 

@@ -124,6 +124,25 @@ class TestSwitchContext:
         with pytest.raises(GuardError):
             switch_disjoint(t, ctx)
 
+    @pytest.mark.parametrize(
+        "text,u,w,message",
+        [
+            ("((L(LL))(L(LL)))", 1, 1, "the two switched vertices must differ"),
+            ("((LLL)(LL))", 2, 6, "parent of vertex 2 must have exactly two children"),
+        ],
+    )
+    def test_pair_refusals(self, text, u, w, message):
+        with pytest.raises(GuardError) as err:
+            SwitchContext.for_pair(parse(text), u, w)
+        assert str(err.value) == message
+
+    def test_unequal_rank_pair_rejected(self):
+        # vertex 1 is a saturated cherry (rank 1), vertex 8 a saturated leaf
+        t = parse("((LL)((LL)L))")
+        ctx = SwitchContext.for_pair(t, 1, 8)
+        with pytest.raises(GuardError, match="^switched vertices must have equal rank$"):
+            switch_disjoint(t, ctx)
+
 
 # sha256 over the verdict of every public switching rewrite on every
 # equal-rank saturated pair of every shape with 2..12 leaves

@@ -412,6 +412,9 @@ class TestIsomorphism:
     def test_distinct_depth_multisets(self):
         assert not is_isomorphic(parse("(L(L(LL)))"), parse("((LL)(LL))"))
 
+    def test_different_orders(self):
+        assert not is_isomorphic(parse("(LL)"), parse("(LLL)"))
+
     def test_agrees_with_label_interning(self):
         from oracles import isomorphic_by_interning
 
@@ -570,6 +573,20 @@ class TestArenaValidation:
         assert parents == [None, 0, 0]
         parents[1] = 2
         assert t._parents == [-1, 0, 0] and t.children(0) == (1, 2)
+
+    def test_top_down_order_is_kept_from_validation(self):
+        # ids in parent-first order need no walk; any other tree keeps the
+        # breadth-first order that its reachability check builds
+        assert RootedTree([-1, 0, 0, 1, 1])._order == range(5)
+        t = RootedTree([3, 3, 4, -1, 3, 4])
+        assert t._order == [3, 0, 1, 4, 2, 5]
+        assert t.depths() == [1, 1, 2, 0, 1, 2]
+        assert serialize(t) == "(LL(LL))"
+
+    def test_repr_truncates_long_text(self):
+        assert repr(parse("((LL)L)")) == "RootedTree('((LL)L)')"
+        t = parse("(" + "L" * 70 + ")")
+        assert repr(t) == f"RootedTree('({'L' * 56}...')"
 
     def test_leaf_count_counts_childless_vertices(self):
         rng = random.Random(1618)
