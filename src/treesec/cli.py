@@ -185,7 +185,7 @@ def _cmd_enumerate(args, out):
 
 def _security_rows(top):
     # every leaf count is measured on one build of the shape tables
-    best = exhaustive._class_bests(exhaustive._bshapes(top))
+    best = exhaustive._bshapes(top)[1]
     for n in range(3, top + 1):
         yield n, formulas.max_security(n), max(best[n])
 

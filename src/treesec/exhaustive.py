@@ -13,42 +13,43 @@ canonical ids are parse's preorder ids.
 A proper binary level is stored by root rank: :func:`_bshapes` makes
 ``secs[n][r]``, a ``bytearray`` with one security byte per n-leaf shape of
 root rank r, so a shape's rank is its group's index.  One walk,
-:func:`_class_pairs`, grows every proper binary table: it runs the leaf
-guard, lays out each level by root rank and yields the unordered pairs of
-(leaf count, root rank) classes of that level, and each table gives only
-its one-leaf value and what a pair adds.  Every pair from two classes has
-root rank ``min(rx, ry) + 1``, so the securities of x's pairs with a class
-are one ``bytes.translate`` of that class's bytes that adds x's security
-and that rank (mod 256; at the guard no security plus rank exceeds 36 +
-4), and measuring makes no key.  :func:`_bkeys` runs the same walk over
-keys, and only the functions that output shapes run it.  Every subtree of
-a maximizer is best in its class, so :func:`maximizer_shapes` makes keys
-only for the best shapes of each class; :func:`_class_bests` walks the
-class bests as exact bounds and confirms each on the bytes.  A key is the
-canonical text in the collation keys of ``trees`` (``)`` = 0, ``L`` = 1,
-``(`` = 2) read as hexadecimal digits and left-aligned in
-``3 * MAX_ENUM_LEAVES - 2`` digits, the longest text the guard admits.
-Canonical texts are prefix-free, so integer order is canonical order, and
-an a-leaf text has 3a - 2 characters, so ``(AB)`` is ``OPEN + (key(A) >>
-4) + (key(B) >> 4 * (3a - 1))`` with ``OPEN`` the digit 2 in the top
-place.
+:func:`_class_pairs`, grows every proper binary table it is given, in
+step: it runs the leaf guard, lays out each level by root rank and yields
+the unordered pairs of (leaf count, root rank) classes of that level, and
+each table gives only its one-leaf value and what a pair adds.  Every pair
+from two classes has root rank ``min(rx, ry) + 1``, so the securities of
+x's pairs with a class are one ``bytes.translate`` of that class's bytes
+that adds x's security and that rank (mod 256; at the guard no security
+plus rank exceeds 36 + 4), and measuring makes no key.  :func:`_bkeys`
+runs the same walk over keys, and only the functions that output shapes
+run it.  Every subtree of a maximizer is best in its class, so
+:func:`maximizer_shapes` makes keys only for the best shapes of each
+class; :func:`_bshapes` grows the class bests beside the bytes, as exact
+bounds, and confirms each on the bytes.  A key is the canonical text in
+the collation keys of ``trees`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
+hexadecimal digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` digits,
+the longest text the guard admits.  Canonical texts are prefix-free, so
+integer order is canonical order, and an a-leaf text has 3a - 2
+characters, so ``(AB)`` is
+``OPEN + (key(A) >> 4) + (key(B) >> 4 * (3a - 1))`` with ``OPEN`` the
+digit 2 in the top place.
 
 A bounded-outdegree shape is ``(canon, root_rank, max_rank, degree)``:
 ``canon`` is the canonical text in that collation, as a string unique within
 a table, so tuple order is canonical order.  Proper k-ary shapes (outdegrees
 0 or exactly k) are generated, not filtered: from proper levels, k at a time.
 
-The census counts come from :func:`_shape_classes`, a recurrence that
-runs the same walk on counts: ``classes[n][r]`` is ``{security:
-count}`` over the n-leaf shapes of root rank r, indexed as ``secs[n][r]``
-is, and it takes nothing from :mod:`treesec.formulas`.
-:func:`count_shapes` and :func:`census_table` read it.  ``verify`` and
-every function that yields shapes measure the enumeration instead, so
-enumeration stays the oracle for the closed forms and the recurrence.  No
-table outlives its call.  Each check runs on one build: ``verify`` reads
-the :func:`_class_bests` of one :func:`_bshapes` build for all its leaf
-counts, and :func:`_root_rank_rows` measures all the orders of one
-root-rank check on one :func:`_kshapes` build.
+The census counts come from :func:`_shape_classes`, a recurrence that runs
+the same walk on counts: ``classes[n][r]`` is ``{security: count}`` over
+the n-leaf shapes of root rank r, indexed as ``secs[n][r]`` is, and it
+takes nothing from :mod:`treesec.formulas`.  :func:`count_shapes` and
+:func:`census_table` read it.  ``verify`` and every function that yields
+shapes measure the enumeration instead, so enumeration stays the oracle
+for the closed forms and the recurrence.  No table outlives its call.
+Each check runs on one build: ``verify`` reads the class bests of one
+:func:`_bshapes` build for all its leaf counts, and
+:func:`_root_rank_rows` measures all the orders of one root-rank check on
+one :func:`_kshapes` build.
 """
 
 from collections import Counter, namedtuple
@@ -72,7 +73,6 @@ __all__ = [
 ]
 
 MAX_ENUM_LEAVES = 22
-MAX_CENSUS_LEAVES = 20
 
 # A key has one hex digit per character of the longest text the guard
 # admits; its top digit is ``L`` for the leaf and ``(`` for every pair.
@@ -81,17 +81,19 @@ _BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
 _BOPEN = 2 * _BLEAF
 
 
-def _class_pairs(table, leaves):
-    """Grow ``table`` from its level 1 to ``leaves`` leaves.  Each level n
-    is appended as ``n.bit_length()`` fresh values of level 1's type, one
-    per root rank, before the walk yields ``(n, a, rx, b, ry, rank)`` for
-    each unordered pair of root-rank classes that makes n-leaf shapes
-    (a <= b = n - a, ry >= rx where the halves are equal); every pair of
-    shapes from the two classes has root rank ``rank``."""
+def _class_pairs(leaves, *tables):
+    """Grow each of ``tables`` from its level 1 to ``leaves`` leaves.  Each
+    level n is appended to every table as ``n.bit_length()`` fresh values
+    of that table's level-1 type, one per root rank, before the walk yields
+    ``(n, a, rx, b, ry, rank)`` for each unordered pair of root-rank
+    classes that makes n-leaf shapes (a <= b = n - a, ry >= rx where the
+    halves are equal); every pair of shapes from the two classes has root
+    rank ``rank``."""
     _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
-    fresh = type(table[1][0])
+    kinds = [(table, type(table[1][0])) for table in tables]
     for n in range(2, leaves + 1):
-        table.append([fresh() for _ in range(n.bit_length())])
+        for table, fresh in kinds:
+            table.append([fresh() for _ in range(n.bit_length())])
         for a in range(1, n // 2 + 1):
             b = n - a
             for rx in range(a.bit_length()):
@@ -100,18 +102,29 @@ def _class_pairs(table, leaves):
 
 
 def _bshapes(leaves):
-    """The securities of levels 1..``leaves``, built for this call:
-    ``secs[n][r]`` holds one byte per n-leaf shape of root rank r."""
+    """The securities of levels 1..``leaves`` and their class bests, built
+    for this call: ``secs[n][r]`` holds one byte per n-leaf shape of root
+    rank r, and ``best[n][r]`` is their best security, or -1 where there
+    are none.  A pair of the best shapes of two nonempty classes is best in
+    its own class, so the walk gives each best as an exact bound; each is
+    then read off the enumerated bytes, stepping down while it is absent."""
     # shifts[c] adds c to a byte (mod 256, which no stored security nears),
     # so the securities of x's pairs are one translate of its partners'
     ring = bytes(range(256)) * 2
     shifts = [ring[c : c + 256] for c in range(256)]
-    secs = [None, [bytearray(1)]]
-    for n, a, rx, b, ry, rank in _class_pairs(secs, leaves):
+    secs, best = [None, [bytearray(1)]], [None, [0]]
+    for n, a, rx, b, ry, rank in _class_pairs(leaves, secs, best):
         xs, ys, out = secs[a][rx], secs[b][ry], secs[n][rank]
+        if not (xs and ys):
+            continue
+        best[n][rank] = max(best[n][rank], best[a][rx] + best[b][ry] + rank)
         for i, sx in enumerate(xs):
             out += ys[i if xs is ys else 0 :].translate(shifts[sx + rank])
-    return secs
+    for level, groups in zip(best[1:], secs[1:]):
+        for r, group in enumerate(groups):
+            while level[r] >= 0 and level[r] not in group:
+                level[r] -= 1
+    return secs, best
 
 
 def _joined(kx, kys, a, n):
@@ -126,10 +139,10 @@ def _joined(kx, kys, a, n):
 
 def _bkeys(top, best=None):
     """The keys of levels 1..``top``: ``keys[n][r]`` holds the n-leaf shapes
-    of root rank r.  Given ``best`` from :func:`_class_bests`, only those of
+    of root rank r.  Given ``best`` from :func:`_bshapes`, only those of
     the class best, paired from the class pairs whose bests sum to it."""
     keys = [None, [[_BLEAF]]]
-    for n, a, rx, b, ry, rank in _class_pairs(keys, top):
+    for n, a, rx, b, ry, rank in _class_pairs(top, keys):
         if best and best[a][rx] + best[b][ry] + rank != best[n][rank]:
             continue
         xs, ys, out = keys[a][rx], keys[b][ry], keys[n][rank]
@@ -166,7 +179,7 @@ def _shape_classes(leaves):
     binary shapes of root rank r, for n in 1..``leaves``, by the pairing
     recurrence alone: the walk of :func:`_class_pairs` on counts."""
     classes = [None, [Counter({0: 1})]]
-    for n, a, rx, b, ry, rank in _class_pairs(classes, leaves):
+    for n, a, rx, b, ry, rank in _class_pairs(leaves, classes):
         xs, ys, out = classes[a][rx], classes[b][ry], classes[n][rank]
         for sx, cx in xs.items():
             for sy, cy in ys.items():
@@ -204,30 +217,13 @@ def _census_row(leaves, total, best, count):
     )
 
 
-def _class_bests(secs):
-    """``best[n][r]``: the best security of the n-leaf shapes of root rank r
-    in ``secs``, or -1 where there are none.  A pair of the best shapes of
-    two nonempty classes is best in its own class, so the walk over the
-    nonempty class pairs gives each best as an exact bound; each is then
-    read off the enumerated bytes, stepping down while it is absent."""
-    best = [None, [0]]
-    for n, a, rx, b, ry, rank in _class_pairs(best, len(secs) - 1):
-        if secs[a][rx] and secs[b][ry]:
-            best[n][rank] = max(best[n][rank], best[a][rx] + best[b][ry] + rank)
-    for level, groups in zip(best[1:], secs[1:]):
-        for r, group in enumerate(groups):
-            while level[r] >= 0 and level[r] not in group:
-                level[r] -= 1
-    return best
-
-
 def brute_force_extremes(leaves):
     """Measure every shape: the exact maximum security, how many shapes
     attain it, and the fraction of shapes that do."""
-    secs = _bshapes(leaves)
-    level, best = secs[leaves], max(_class_bests(secs)[leaves])
-    count = sum(group.count(best) for group in level)
-    return _census_row(leaves, sum(map(len, level)), best, count)
+    secs, best = _bshapes(leaves)
+    level, top = secs[leaves], max(best[leaves])
+    count = sum(group.count(top) for group in level)
+    return _census_row(leaves, sum(map(len, level)), top, count)
 
 
 def maximizer_shapes(leaves):
@@ -235,7 +231,7 @@ def maximizer_shapes(leaves):
     order.  Every subtree of a maximizer has the best security of its
     (leaf count, root rank) class, so keys are made only for such shapes;
     each class's best is measured on the enumerated securities."""
-    best = _class_bests(_bshapes(leaves))
+    best = _bshapes(leaves)[1]
     top = max(best[leaves])
     level = zip(_bkeys(leaves, best)[leaves], best[leaves])
     found = chain.from_iterable(keys for keys, sec in level if sec == top)
@@ -245,7 +241,6 @@ def maximizer_shapes(leaves):
 
 def census_table(max_leaves):
     """One census row per leaf count in [1, max_leaves]."""
-    _count(max_leaves, "max leaves", 1, MAX_CENSUS_LEAVES)
     rows = []
     for leaves, level in enumerate(_shape_classes(max_leaves)[1:], 1):
         by_security = Counter()
@@ -272,6 +267,8 @@ _KLEAF = (_LEAF_KEY, 0, 0, 0)
 
 
 def _kary_guard(n, k, proper=False):
+    if proper and k is None:
+        raise GuardError("proper enumeration needs an arity bound")
     _count(n, "order", 1)
     if k is not None:
         _count(k, "arity", 1)
@@ -280,8 +277,6 @@ def _kary_guard(n, k, proper=False):
         limit = min(limit * k + 1, 67)  # k = 6's limit: every order is walked
     if n > limit:
         raise SizeError(f"order over enumeration guard ({limit} for this arity)")
-    if proper and k is None:
-        raise GuardError("proper enumeration needs an arity bound")
 
 
 def _kid_multisets(total, cap, parts, levels, exact):

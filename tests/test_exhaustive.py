@@ -31,6 +31,7 @@ from treesec import (
     serialize,
 )
 from treesec.builders import binary_power_representation
+from treesec.cli import main
 from oracles import rank_by_distance, rooted_tree_count, wedderburn_etherington
 
 
@@ -106,7 +107,7 @@ class TestShapeClasses:
         """``{security: count}`` of every (leaf count, root rank) class to the
         guard, from one build of the security tables, whose groups are
         indexed by root rank; the tables themselves are dropped on return."""
-        secs = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
+        secs = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)[0]
         return [None] + [[Counter(group) for group in level] for level in secs[1:]]
 
     def test_recurrence_equals_the_enumeration(self, enumerated):
@@ -135,9 +136,10 @@ class TestShapeClasses:
 
     def test_census_engines_agree_on_every_row(self):
         # the recurrence and the enumeration, held together on public rows
-        top = exhaustive.MAX_CENSUS_LEAVES
-        assert census_table(top) == [brute_force_extremes(n) for n in range(1, top + 1)]
-        for row in map(brute_force_extremes, range(1, exhaustive.MAX_ENUM_LEAVES + 1)):
+        top = exhaustive.MAX_ENUM_LEAVES
+        rows = [brute_force_extremes(n) for n in range(1, top + 1)]
+        assert census_table(top) == rows
+        for row in rows:
             assert count_shapes(row.leaf_count) == row.total_shapes, row.leaf_count
 
     def test_counts_build_no_shape_table(self, monkeypatch):
@@ -145,7 +147,7 @@ class TestShapeClasses:
             raise AssertionError(f"the {leaves}-leaf shape table was built")
 
         monkeypatch.setattr(exhaustive, "_bshapes", fail)
-        tsv = census_tsv(census_table(exhaustive.MAX_CENSUS_LEAVES))
+        tsv = census_tsv(census_table(20))
         assert hashlib.sha256(tsv.encode()).hexdigest() == (
             "0865136ceed82ffcb2d2623627adfe499f0182d011b9aaa4e3aad99c90f17d3a"
         )
@@ -161,7 +163,7 @@ class TestClassPairs:
         top = exhaustive.MAX_ENUM_LEAVES
         table = [None, [0]]
         seen, made = set(), set()
-        for n, a, rx, b, ry, rank in exhaustive._class_pairs(table, top):
+        for n, a, rx, b, ry, rank in exhaustive._class_pairs(top, table):
             assert len(table) == n + 1 and table[n][0] == 0
             assert len(table[n]) == n.bit_length()
             assert a <= b == n - a and (a < b or rx <= ry)
@@ -170,7 +172,7 @@ class TestClassPairs:
             seen.add((n, a, rx, ry))
             made.add((n, rank))
         assert len(table) == top + 1
-        secs = exhaustive._bshapes(top)
+        secs = exhaustive._bshapes(top)[0]
         for n in range(2, top + 1):
             for r, group in enumerate(secs[n]):
                 assert not group or (n, r) in made, (n, r)
@@ -179,10 +181,32 @@ class TestClassPairs:
         "leaves, error", [(0, GuardError), (exhaustive.MAX_ENUM_LEAVES + 1, SizeError)]
     )
     def test_guard_runs_before_any_level(self, leaves, error):
-        table = [None, [0]]
+        tables = [None, [0]], [None, [bytearray(1)]]
         with pytest.raises(error):
-            next(exhaustive._class_pairs(table, leaves))
-        assert table == [None, [0]]
+            next(exhaustive._class_pairs(leaves, *tables))
+        assert tables == ([None, [0]], [None, [bytearray(1)]])
+
+    @pytest.mark.parametrize(
+        "call, walks",
+        [
+            (lambda: brute_force_extremes(22).maximizer_count == 9, 1),
+            (lambda: main(["verify", "--max-leaves", "22"]) == 0, 1),
+            # the bytes with their class bests, then the best-in-class keys
+            (lambda: sum(1 for _ in maximizer_shapes(22)) == 9, 2),
+        ],
+        ids=["brute_force_extremes", "verify", "maximizer_shapes"],
+    )
+    def test_class_bests_grow_on_the_bytes_walk(self, monkeypatch, call, walks):
+        calls = []
+        walk = exhaustive._class_pairs
+
+        def spy(leaves, *tables):
+            calls.append(leaves)
+            return walk(leaves, *tables)
+
+        monkeypatch.setattr(exhaustive, "_class_pairs", spy)
+        assert call()
+        assert calls == [22] * walks
 
 
 class TestBinaryPinned:
@@ -272,9 +296,9 @@ class TestBestInClass:
     rank) class, whose bests are measured on the enumerated securities."""
 
     def test_class_bests_are_the_group_maxima(self):
-        secs = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
+        secs, best = exhaustive._bshapes(exhaustive.MAX_ENUM_LEAVES)
         want = [[max(group, default=-1) for group in level] for level in secs[1:]]
-        assert exhaustive._class_bests(secs)[1:] == want
+        assert best[1:] == want
         assert sum(map(len, want)) == 84
 
     def test_maximizer_counts_equal_the_byte_counts(self):
@@ -364,7 +388,7 @@ class TestCensusTable:
 
     def test_guard(self):
         with pytest.raises(SizeError):
-            census_table(21)
+            census_table(exhaustive.MAX_ENUM_LEAVES + 1)
 
 
 class TestKaryEnumeration:
@@ -408,8 +432,12 @@ class TestKaryEnumeration:
         assert sum(1 for _ in enumerate_kary_trees(7, 2, proper=True)) == (
             wedderburn_etherington(4)
         )
-        with pytest.raises(GuardError):
-            list(enumerate_kary_trees(5, None, proper=True))
+        # without an arity the request is malformed, also over the guard (11)
+        for order in (5, 12):
+            with pytest.raises(GuardError, match="needs an arity bound"):
+                list(enumerate_kary_trees(order, None, proper=True))
+            with pytest.raises(GuardError, match="needs an arity bound"):
+                brute_force_max_root_rank(order, proper=True)
 
     def test_size_guards(self):
         with pytest.raises(SizeError):

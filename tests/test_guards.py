@@ -83,7 +83,8 @@ ROWS = [
     ("maximizer_shapes", _shapes(exhaustive.maximizer_shapes),
      {0: G, 1: ["L"], 5: ["(L((LL)(LL)))", "((LL)(L(LL)))"], 23: S}),
     ("census_table", lambda n: tuple(exhaustive.census_table(n)[-1])[:4],
-     {0: G, 1: (1, 1, 0, 1), 7: (7, 11, 8, 4), 20: (20, 293547, 33, 2), 21: S}),
+     {0: G, 1: (1, 1, 0, 1), 7: (7, 11, 8, 4), 20: (20, 293547, 33, 2),
+      21: (21, 676157, 34, 7), 22: (22, 1563372, 36, 9), 23: S}),
     ("enumerate_kary_trees n", lambda n: len(list(exhaustive.enumerate_kary_trees(n))),
      {0: G, 1: 1, 4: 4, 11: 1842, 12: S}),
     ("enumerate_kary_trees k", lambda k: len(list(exhaustive.enumerate_kary_trees(5, k))),
