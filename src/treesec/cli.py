@@ -236,7 +236,8 @@ def _cmd_verify(args, out):
 
 
 def _cmd_table(args, out):
-    out.write(exhaustive.census_tsv(exhaustive.census_table(args.max_leaves)))
+    top = _count(args.max_leaves, "--max-leaves", 1, exhaustive.MAX_ENUM_LEAVES)
+    out.write(exhaustive.census_tsv(exhaustive.census_table(top)))
 
 
 def _cmd_export(args, out):

@@ -586,13 +586,15 @@ def flip_adjacent(tree, i, variant):
 
 def _deepest_canonical_leaf(tree, v):
     """Deepest leaf of v's subtree, ties broken by canonical preorder."""
-    _, kids = _canonical(tree)
+    _, first, nxt = _canonical(tree)
     best, best_depth = v, -1
     stack = [(v, 0)]
-    while stack:
+    while stack:  # the next sibling waits below the first child: preorder
         x, d = stack.pop()
-        if kids[x]:
-            stack.extend((c, d + 1) for c in reversed(kids[x]))
+        if x != v and nxt[x] >= 0:
+            stack.append((nxt[x], d))
+        if first[x] >= 0:
+            stack.append((first[x], d + 1))
         elif d > best_depth:
             best, best_depth = x, d
     return best

@@ -20,7 +20,7 @@ ignored; any other stray character is a parse error.  A JSON form
 :func:`tree_from_json` and by :func:`read_tree`, which sniffs the format.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import GuardError, ParseError, SizeError, _count
 
@@ -139,9 +139,10 @@ class RootedTree:
         return len(self._parents) + 1 - len(set(self._parents))
 
     def _child_lists(self):
-        # lazy, idempotent cache: a concurrent duplicate build is benign.
-        # Leaves share the empty tuple, so a binary tree costs about n
-        # containers, not 2n; cyclic GC walks every one of them.
+        # lazy, idempotent cache for children(), is_leaf(), degree(), the
+        # reachability check and the rewrite arena; the read passes fold over
+        # the parent array instead, as cyclic GC walks every container here.
+        # Leaves share the empty tuple; a concurrent duplicate build is benign.
         if self._children is None:
             ch = [()] * len(self._parents)
             internal = []
@@ -213,22 +214,28 @@ def serialize(tree, canonical=False):
     """
     if canonical:
         return _canonical(tree)[0].translate(_KEY_TEXT)
+    par = tree._parents
+    first = [-1] * len(par)  # first child and next sibling, by increasing id
+    nxt = first[:]
+    for v in reversed(tree._order):  # each parent's children by decreasing id
+        p = par[v]
+        if p >= 0:
+            nxt[v] = first[p]
+            first[p] = v
     out = []
-    stack = [tree.root]  # ~v closes vertex v
-    ch = tree._child_lists()
-    while stack:
-        v = stack.pop()
-        if v < 0:
-            out.append(")")
-            continue
-        kids = ch[v]
-        if not kids:
-            out.append("L")
-        else:
+    v = tree.root
+    while True:
+        if first[v] >= 0:
             out.append("(")
-            stack.append(~v)
-            stack += kids[::-1]
-    return "".join(out)
+            v = first[v]
+            continue
+        out.append("L")
+        while nxt[v] < 0:
+            v = par[v]
+            if v < 0:
+                return "".join(out)
+            out.append(")")
+        v = nxt[v]
 
 
 def read_tree(text):
@@ -303,9 +310,8 @@ def export_dot(tree, annotate="none"):
     else:
         for v in range(len(canon)):
             lines.append(f"  {v};")
-    for v in range(len(canon)):
-        for c in canon.children(v):
-            lines.append(f"  {v} -> {c};")
+    par = canon._parents  # sorting by parent keeps each child list by increasing id
+    lines += [f"  {par[c]} -> {c};" for c in sorted(range(1, len(canon)), key=par.__getitem__)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -359,34 +365,48 @@ _KEY_TEXT = str.maketrans("012", ")L(")
 
 def _canonical(tree):
     """The root's collation key (its canonical text spelt in collation keys)
-    and every vertex's children in canonical order: ascending key, the
-    higher id first between equal keys.
+    and every vertex's children in canonical order, as first-child and
+    next-sibling lists (-1 for none): ascending key, the higher id first
+    between equal keys.
 
-    A child's key is dropped once its parent's key is built, so the live
-    keys cover disjoint subtrees and memory stays linear."""
-    ch = tree._child_lists()
-    key = [_LEAF_KEY] * len(tree)
-    kids = list(ch)
-    # children are stored by increasing id, so a stable sort of the reversed
-    # list, or taking b first on a tie, puts the higher id first
-    for v in reversed(tree._order):
-        kv = ch[v]
-        if len(kv) == 2:
-            a, b = kv
-            ka = key[a]
-            kb = key[b]
-            if kb <= ka:
-                kids[v] = (b, a)
-                key[v] = f"{_OPEN_KEY}{kb}{ka}{_CLOSE_KEY}"
+    One bottom-up pass: once its key is built, each vertex joins the front
+    of its parent's list, so a list runs by increasing id until its owner
+    reorders it.  A child's key is dropped once its parent's key is built,
+    so the live keys cover disjoint subtrees and memory stays linear."""
+    par = tree._parents
+    key = [_LEAF_KEY] * len(par)
+    first = [-1] * len(par)
+    nxt = first[:]
+    for v in reversed(tree._order):  # each parent's children by decreasing id
+        a = first[v]
+        if a >= 0:
+            b = nxt[a]
+            if b >= 0 and nxt[b] < 0:
+                # a < b, so taking b first on a tie puts the higher id first
+                ka, kb = key[a], key[b]
+                if kb <= ka:
+                    first[v], nxt[b], nxt[a] = b, a, -1
+                    key[v] = f"{_OPEN_KEY}{kb}{ka}{_CLOSE_KEY}"
+                else:
+                    key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
+                key[a] = key[b] = None
             else:
-                key[v] = f"{_OPEN_KEY}{ka}{kb}{_CLOSE_KEY}"
-            key[a] = key[b] = None
-        elif kv:
-            kids[v] = ordered = sorted(reversed(kv), key=key.__getitem__)
-            key[v] = "".join([_OPEN_KEY, *map(key.__getitem__, ordered), _CLOSE_KEY])
-            for c in ordered:
-                key[c] = None
-    return key[tree.root], kids
+                kids = []
+                while a >= 0:
+                    kids.append(a)
+                    a = nxt[a]
+                # a stable sort of the reversed list puts the higher id first
+                kids = sorted(reversed(kids), key=key.__getitem__)
+                key[v] = "".join([_OPEN_KEY, *map(key.__getitem__, kids), _CLOSE_KEY])
+                first[v] = kids[0]
+                for c, d in zip(kids, kids[1:] + [-1]):
+                    nxt[c] = d
+                    key[c] = None
+        p = par[v]
+        if p >= 0:
+            nxt[v] = first[p]
+            first[p] = v
+    return key[tree.root], first, nxt
 
 
 def canonical_order(tree):
@@ -395,13 +415,16 @@ def canonical_order(tree):
     The canonical preorder index of a vertex is its position in this list;
     it is the vertex addressing used by the CLI.
     """
-    _, kids = _canonical(tree)
+    _, first, nxt = _canonical(tree)
     order = []
-    stack = [tree.root]
-    while stack:
+    stack = [tree.root]  # the root has no next sibling
+    while stack:  # the next sibling waits below the first child: preorder
         v = stack.pop()
         order.append(v)
-        stack.extend(reversed(kids[v]))
+        if nxt[v] >= 0:
+            stack.append(nxt[v])
+        if first[v] >= 0:
+            stack.append(first[v])
     return order
 
 
@@ -435,11 +458,11 @@ def classify(tree):
     2**height leaves.  ``outdegree_sequence`` is the sorted multiset of
     children counts.
     """
-    ch = tree._child_lists()
+    deg = Counter(tree._parents)  # outdegrees; leaves are missing
     depths = tree.depths()
     height = max(depths)
-    leaves = [v for v in range(len(tree)) if not ch[v]]
-    proper = all(len(ch[v]) in (0, 2) for v in range(len(tree)))
+    leaves = [v for v in range(len(tree)) if not deg[v]]
+    proper = all(deg[v] in (0, 2) for v in range(len(tree)))
     leaf_depths = {depths[v] for v in leaves}
     complete = proper and leaf_depths == {height} and len(leaves) == 1 << height
     return ShapeReport(
@@ -447,7 +470,7 @@ def classify(tree):
         height=height,
         is_proper_binary=proper,
         is_complete_binary=complete,
-        outdegree_sequence=tuple(sorted(len(ch[v]) for v in range(len(tree)))),
+        outdegree_sequence=tuple(sorted(deg[v] for v in range(len(tree)))),
     )
 
 
@@ -456,36 +479,29 @@ def saturated_vertices(tree):
     is, as (vertex id, exponent) pairs in vertex-id order.
 
     The exponent m means the subtree has 2**m leaves.  The listed subtrees
-    are vertex-disjoint and their leaves partition the tree's leaves.
-    Raises GuardError for non-proper-binary trees.
+    are vertex-disjoint and their leaves partition the tree's leaves.  One
+    height and degree fold over the parent array finds them, and a scan in
+    id order lists them unsorted.  Raises GuardError for non-proper-binary
+    trees.
     """
-    # h[v]: height of v's subtree if that subtree is complete, else -1;
-    # a complete child of an incomplete parent is saturated
-    ch = tree._child_lists()
-    h = [0] * len(tree)
-    found = []
+    # h[v]: height of v's subtree if that subtree is complete, else negative;
+    # a parent's subtree is complete iff two children report one height
+    par = tree._parents
+    incomplete = -len(par) - 1  # adding 1 per level keeps it negative
+    h = [0] * len(par)
+    deg = [0] * len(par)
     for v in reversed(tree._order):
-        kids = ch[v]
-        if not kids:
-            continue
-        if len(kids) != 2:
+        if deg[v] not in (0, 2):
             raise GuardError("tree is not proper binary")
-        a, b = kids
-        ha = h[a]
-        hb = h[b]
-        if ha == hb >= 0:
-            h[v] = ha + 1
-        else:
-            h[v] = -1
-            if ha >= 0:
-                found.append((a, ha))
-            if hb >= 0:
-                found.append((b, hb))
-    root = tree.root
-    if h[root] >= 0:
-        found.append((root, h[root]))
-    found.sort()
-    return found
+        p = par[v]
+        if p >= 0:
+            if not deg[p]:
+                h[p] = h[v] + 1
+            elif h[v] + 1 != h[p]:
+                h[p] = incomplete
+            deg[p] += 1
+    # a complete subtree is saturated unless its parent's is complete too
+    return [(v, hv) for v, hv in enumerate(h) if hv >= 0 and (par[v] < 0 or h[par[v]] < 0)]
 
 
 def partition_vector(tree):

@@ -30,14 +30,23 @@ from oracles import security_by_distance
 def _level_order_parents(tree):
     """The parent array of ``tree`` renumbered in level order, each vertex's
     children taken by increasing id."""
-    kids, par = tree._child_lists(), tree._parents
+    par = tree._parents
+    first = [-1] * len(par)  # first child and next sibling, by increasing id
+    nxt = first[:]
+    for v in range(len(par) - 1, -1, -1):
+        p = par[v]
+        if p >= 0:
+            nxt[v] = first[p]
+            first[p] = v
     order = [tree.root]
-    for v in order:
-        order.extend(kids[v])
-    newid = [0] * len(tree)
-    for i, v in enumerate(order):
-        newid[v] = i
-    return [-1 if par[v] < 0 else newid[par[v]] for v in order]
+    out = [-1]
+    for i, v in enumerate(order):  # the i-th vertex of the level order
+        c = first[v]
+        while c >= 0:
+            order.append(c)
+            out.append(i)
+            c = nxt[c]
+    return out
 
 
 class TestRawIdsPinned:

@@ -458,12 +458,12 @@ class TestExitCodes:
     def test_table_over_guard_is_two(self, capsys):
         code, out, err = run(capsys, "table", "--max-leaves", "23")
         assert (code, out) == (2, "")
-        assert err == "treesec: size guard: leaf count over guard (22)\n"
+        assert err == "treesec: size guard: --max-leaves over guard (22)\n"
 
     def test_table_without_leaves_is_one(self, capsys):
         code, out, err = run(capsys, "table", "--max-leaves", "0")
         assert (code, out) == (1, "")
-        assert err == "treesec: error: leaf count must be at least 1\n"
+        assert err == "treesec: error: --max-leaves must be at least 1\n"
 
     def test_verify_over_guard_refuses_before_any_work(self, capsys, monkeypatch):
         def fail(leaves):

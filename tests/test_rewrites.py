@@ -633,10 +633,14 @@ class TestArena:
         trees += _seeded_random_trees(20, 300, seed=0xC0A)
         for t in trees:
             arena = rewrites._Arena(t)
-            _, kids = _canonical(t)
+            _, first, nxt = _canonical(t)
             for v in range(len(t)):
-                if kids[v]:
-                    assert arena.kids[v] == list(kids[v]), serialize(t)
+                kids, c = [], first[v]
+                while c >= 0:
+                    kids.append(c)
+                    c = nxt[c]
+                if kids:
+                    assert arena.kids[v] == kids, serialize(t)
 
     def test_repair_matches_a_fresh_arena_after_every_step(self, monkeypatch):
         fields = ("rank", "h", "kids", "mask", "dup", "root", "security")

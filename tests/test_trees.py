@@ -234,6 +234,28 @@ class TestChildLists:
                 assert t.degree(v) == len(kids)
                 assert t.is_leaf(v) == (kids == ())
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            serialize,
+            lambda t: serialize(t, canonical=True),
+            lambda t: is_isomorphic(t, t),
+            canonical_form,
+            saturated_vertices,
+            partition_vector,
+        ],
+        ids=["serialize", "serialize_canonical", "is_isomorphic", "canonical_form", "saturated", "partition"],
+    )
+    def test_read_passes_build_no_child_lists(self, op):
+        rng = random.Random(300)
+        text = serialize(random_proper_binary(300, rng))
+        a = parse(text)
+        b = shuffled_copy(parse(text), rng)
+        op(a)
+        op(b)
+        assert is_isomorphic(a, b)
+        assert a._children is None and b._children is None
+
 
 class TestRanks:
     def test_worked_example_multiset(self):
@@ -386,8 +408,10 @@ class TestCanonicalPinned:
             lambda a, b: serialize(a, canonical=True),
             lambda a, b: canonical_form(a),
             is_isomorphic,
+            lambda a, b: (serialize(a), serialize(b)),
+            lambda a, b: (partition_vector(a), partition_vector(b)),
         ],
-        ids=["serialize", "canonical_form", "is_isomorphic"],
+        ids=["serialize", "canonical_form", "is_isomorphic", "serialize_plain", "partition_vector"],
     )
     def test_caterpillar_memory_is_linear(self, op):
         a = build_binary_caterpillar(16384)
