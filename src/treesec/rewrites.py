@@ -25,7 +25,7 @@ from itertools import islice
 
 from .builders import _spine_parents, binary_power_representation, build_power_spine
 from .errors import GuardError
-from .trees import RootedTree, _canonical, is_isomorphic
+from .trees import RootedTree, _canonical, _preorder, is_isomorphic
 
 __all__ = [
     "SwitchContext",
@@ -585,19 +585,20 @@ def flip_adjacent(tree, i, variant):
 
 
 def _deepest_canonical_leaf(tree, v):
-    """Deepest leaf of v's subtree, ties broken by canonical preorder."""
-    _, first, nxt = _canonical(tree)
-    best, best_depth = v, -1
-    stack = [(v, 0)]
-    while stack:  # the next sibling waits below the first child: preorder
-        x, d = stack.pop()
-        if x != v and nxt[x] >= 0:
-            stack.append((nxt[x], d))
-        if first[x] >= 0:
-            stack.append((first[x], d + 1))
-        elif d > best_depth:
-            best, best_depth = x, d
-    return best
+    """Deepest leaf of v's subtree, ties broken by canonical preorder; only
+    that subtree, filtered from the top-down order, is keyed."""
+    par, order = tree._parents, tree._order
+    depth = [-1] * len(par)
+    depth[v] = 0
+    sub = [v]
+    for x in order[order.index(v) + 1 :]:
+        d = depth[par[x]]
+        if d >= 0:
+            depth[x] = d + 1
+            sub.append(x)
+    _, first, nxt = _canonical(tree, sub)
+    # the first vertex of greatest depth in preorder is a leaf
+    return max(_preorder(v, first, nxt), key=depth.__getitem__)
 
 
 def reroot_at_vertex(tree, v, mode="general"):
@@ -616,13 +617,11 @@ def reroot_at_vertex(tree, v, mode="general"):
         raise GuardError(f"vertex id {v} out of range")
     if v == tree.root:
         return tree
-    u = tree.parent(v)
-    if mode == "general":
-        w = _deepest_canonical_leaf(tree, v)
-        return _rewire(tree, [(u, v)], [(w, tree.root)])
-    if tree.is_leaf(v):
-        return tree
+    u, r = tree.parent(v), tree.root
     w = _deepest_canonical_leaf(tree, v)
+    if mode == "general":
+        return _rewire(tree, [(u, v)], [(w, r)])
+    if w == v:
+        return tree
     pw = tree.parent(w)
-    r = tree.root
     return _rewire(tree, [(u, v), (pw, w)], [(pw, r), (u, w)])

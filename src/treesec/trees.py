@@ -213,7 +213,7 @@ def serialize(tree, canonical=False):
     two trees are isomorphic iff their canonical serializations are equal.
     """
     if canonical:
-        return _canonical(tree)[0].translate(_KEY_TEXT)
+        return _canonical(tree, tree._order)[0].translate(_KEY_TEXT)
     par = tree._parents
     first = [-1] * len(par)  # first child and next sibling, by increasing id
     nxt = first[:]
@@ -363,21 +363,21 @@ _CLOSE_KEY, _LEAF_KEY, _OPEN_KEY = "0", "1", "2"
 _KEY_TEXT = str.maketrans("012", ")L(")
 
 
-def _canonical(tree):
-    """The root's collation key (its canonical text spelt in collation keys)
-    and every vertex's children in canonical order, as first-child and
-    next-sibling lists (-1 for none): ascending key, the higher id first
-    between equal keys.
-
-    One bottom-up pass: once its key is built, each vertex joins the front
-    of its parent's list, so a list runs by increasing id until its owner
-    reorders it.  A child's key is dropped once its parent's key is built,
-    so the live keys cover disjoint subtrees and memory stays linear."""
+def _canonical(tree, order):
+    """The key of ``order[0]`` (its canonical text spelt in collation keys)
+    and its subtree's child order as first-child and next-sibling lists (-1
+    for none): ascending key, the higher id first on a tie.  ``order`` lists
+    that subtree top down with siblings by increasing id, as ``tree._order``
+    lists the tree; no other vertex is keyed.  One bottom-up pass: once its
+    key is built, each vertex joins the front of its parent's list, so a
+    list runs by increasing id until its owner reorders it.  A child's key
+    is dropped once its parent's key is built, so the live keys cover
+    disjoint subtrees and memory stays linear."""
     par = tree._parents
     key = [_LEAF_KEY] * len(par)
     first = [-1] * len(par)
     nxt = first[:]
-    for v in reversed(tree._order):  # each parent's children by decreasing id
+    for v in reversed(order):  # each parent's children by decreasing id
         a = first[v]
         if a >= 0:
             b = nxt[a]
@@ -406,26 +406,26 @@ def _canonical(tree):
         if p >= 0:
             nxt[v] = first[p]
             first[p] = v
-    return key[tree.root], first, nxt
+    return key[order[0]], first, nxt
 
 
-def canonical_order(tree):
-    """Vertex ids listed in canonical preorder.
-
-    The canonical preorder index of a vertex is its position in this list;
-    it is the vertex addressing used by the CLI.
-    """
-    _, first, nxt = _canonical(tree)
-    order = []
-    stack = [tree.root]  # the root has no next sibling
+def _preorder(v, first, nxt):
+    """v's subtree in preorder over the lists of :func:`_canonical`."""
+    stack = [v]  # v tops the order it was keyed in: it has no next sibling
     while stack:  # the next sibling waits below the first child: preorder
         v = stack.pop()
-        order.append(v)
+        yield v
         if nxt[v] >= 0:
             stack.append(nxt[v])
         if first[v] >= 0:
             stack.append(first[v])
-    return order
+
+
+def canonical_order(tree):
+    """Vertex ids listed in canonical preorder: a vertex's position here is
+    its canonical preorder index, the vertex addressing used by the CLI."""
+    _, first, nxt = _canonical(tree, tree._order)
+    return list(_preorder(tree.root, first, nxt))
 
 
 def canonical_form(tree):
@@ -440,7 +440,7 @@ def is_isomorphic(a, b):
     """True iff the trees are isomorphic as unordered rooted trees."""
     if len(a) != len(b):
         return False
-    return _canonical(a)[0] == _canonical(b)[0]
+    return _canonical(a, a._order)[0] == _canonical(b, b._order)[0]
 
 
 ShapeReport = namedtuple(

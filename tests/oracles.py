@@ -127,3 +127,16 @@ def shuffled_copy(tree, rng):
         for c in kids:
             stack.append((c, idx))
     return RootedTree(parents)
+
+
+def relabelled_copy(tree, rng):
+    """Isomorphic copy with its vertex ids permuted at random, so parents
+    may follow their children."""
+    perm = list(range(len(tree)))
+    rng.shuffle(perm)
+    parents = [-1] * len(tree)
+    for v in range(len(tree)):
+        p = tree.parent(v)
+        if p is not None:
+            parents[perm[v]] = perm[p]
+    return RootedTree(parents)

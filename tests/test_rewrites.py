@@ -9,6 +9,7 @@ from treesec import (
     RootedTree,
     SwitchContext,
     all_ranks,
+    build_binary_caterpillar,
     build_power_spine,
     canonical_form,
     classify,
@@ -34,7 +35,13 @@ from treesec import rewrites
 from treesec.cli import main
 from treesec.rewrites import _rewire, _rule_edges
 from treesec.trees import _canonical
-from oracles import random_kary, random_proper_binary, shuffled_copy
+from oracles import (
+    random_general,
+    random_kary,
+    random_proper_binary,
+    relabelled_copy,
+    shuffled_copy,
+)
 
 SWITCH_OPS = (
     switch_disjoint,
@@ -633,7 +640,7 @@ class TestArena:
         trees += _seeded_random_trees(20, 300, seed=0xC0A)
         for t in trees:
             arena = rewrites._Arena(t)
-            _, first, nxt = _canonical(t)
+            _, first, nxt = _canonical(t, t._order)
             for v in range(len(t)):
                 kids, c = [], first[v]
                 while c >= 0:
@@ -730,10 +737,53 @@ class TestFlip:
             flip_adjacent(build_power_spine(7), i, variant)
 
 
+# sha256 over the parents and root of reroot_at_vertex in both modes at
+# every vertex of seeded random general trees, half of them with their ids
+# permuted so that parents may follow their children; computed while the
+# canonical pass still keyed the whole tree, it pins which deepest leaf
+# each reroot picks
+REROOT_DIGEST = "411b9437919c9721307a8d98fd001457fd571a07a6a98a6df7c04281676d8d94"
+
+
 class TestReroot:
     def test_root_is_identity(self):
         t = parse(" ((LL)(LL))")
         assert reroot_at_vertex(t, t.root) is t
+
+    def test_degree_preserving_at_a_leaf_is_identity(self):
+        rng = random.Random(29)
+        trees = [parse("(LL)"), parse("((LL)(L(LL)))")]
+        trees += [random_general(rng.randint(2, 40), rng) for _ in range(20)]
+        for t in trees + [relabelled_copy(t, rng) for t in trees]:
+            for v in range(len(t)):
+                if t.is_leaf(v):
+                    assert reroot_at_vertex(t, v, mode="degree_preserving") is t
+
+    def test_deepest_leaf_choice_is_pinned(self):
+        rng = random.Random(0x2E0)
+        trees = [random_general(rng.randint(1, 60), rng) for _ in range(150)]
+        trees += [relabelled_copy(t, rng) for t in trees]
+        digest = hashlib.sha256()
+        for t in trees:
+            for mode in ("general", "degree_preserving"):
+                for v in range(len(t)):
+                    out = reroot_at_vertex(t, v, mode)
+                    digest.update(repr((out._parents, out.root)).encode())
+        assert digest.hexdigest() == REROOT_DIGEST
+
+    def test_rerooting_keys_only_the_moved_subtree(self, monkeypatch):
+        keyed, canonical = [], rewrites._canonical
+
+        def spy(tree, order):
+            keyed.append(len(order))
+            return canonical(tree, order)
+
+        monkeypatch.setattr(rewrites, "_canonical", spy)
+        t = build_binary_caterpillar(32768)
+        v = len(t) - 3  # the deepest internal vertex
+        for mode in ("general", "degree_preserving"):
+            assert reroot_at_vertex(t, v, mode).root == v
+        assert keyed == [3, 3]
 
     def test_path_end_in_a_spider(self):
         from treesec import build_starlike

@@ -34,6 +34,7 @@ from oracles import (
     random_general,
     random_proper_binary,
     ranks_by_distance,
+    relabelled_copy,
     shuffled_copy,
 )
 
@@ -158,18 +159,6 @@ IO_DIGEST = "ca4e0e560c84844704e7a36a5ba2df4a6f16f2c5bdcf689575c8610645e31845"
 SATURATED_DIGEST = "79bcd032b378a2ccb1a126b9dd8553dc27c2638ba6613aa4763e4494919732d2"
 
 
-def _relabelled(tree, rng):
-    """Isomorphic copy with its vertex ids permuted at random."""
-    perm = list(range(len(tree)))
-    rng.shuffle(perm)
-    parents = [-1] * len(tree)
-    for v in range(len(tree)):
-        p = tree.parent(v)
-        if p is not None:
-            parents[perm[v]] = perm[p]
-    return RootedTree(parents)
-
-
 def _io_corpus():
     rng = random.Random(7)
     corpus = [
@@ -178,7 +167,7 @@ def _io_corpus():
     corpus += [random_general(rng.randint(1, 80), rng) for _ in range(300)]
     corpus += [random_proper_binary(rng.randint(1, 40), rng) for _ in range(300)]
     corpus += [build_binary_caterpillar(300), build_power_spine(1000)]
-    return corpus + [_relabelled(t, rng) for t in corpus]
+    return corpus + [relabelled_copy(t, rng) for t in corpus]
 
 
 class TestIoPinned:
@@ -209,7 +198,7 @@ class TestIoPinned:
         # far deeper than the corpus caterpillar; json.dumps would stop near
         # 490 levels, so the document is read back without it
         deep = build_binary_caterpillar(100_000)
-        for t in (deep, _relabelled(deep, random.Random(17))):
+        for t in (deep, relabelled_copy(deep, random.Random(17))):
             back = tree_from_json(tree_to_json(t))
             assert back._parents == parse(serialize(t))._parents
 
