@@ -21,7 +21,6 @@ preserved by every switching/hoist rewrite, so the edge pairs recorded in a
 """
 
 from collections import namedtuple
-from itertools import islice
 
 from .builders import _spine_parents, binary_power_representation, build_power_spine
 from .errors import GuardError
@@ -78,14 +77,6 @@ def _pair_context(par, kids, u, w):
     return SwitchContext(u, w, par[u], par[w], b if a == u else a, d if c == w else c)
 
 
-def _is_strict_ancestor(tree, a, b):
-    par = tree._parents
-    v = par[b]
-    while v >= 0 and v != a:
-        v = par[v]
-    return v == a
-
-
 def _splice(par, root, removed, added):
     """Apply edge surgery to the parent array of a tree with the given root,
     in place.  Edges are (parent, child) pairs; after all removals and
@@ -128,9 +119,13 @@ _RULES = (
 
 def _nesting(tree, ctx):
     """1 if u0 is a strict ancestor of w0, -1 for the reverse, else 0."""
-    if _is_strict_ancestor(tree, ctx.u0, ctx.w0):
-        return 1
-    return -1 if _is_strict_ancestor(tree, ctx.w0, ctx.u0) else 0
+    par = tree._parents
+    for a, v, nesting in ((ctx.u0, par[ctx.w0], 1), (ctx.w0, par[ctx.u0], -1)):
+        while v >= 0 and v != a:
+            v = par[v]
+        if v == a:
+            return nesting
+    return 0
 
 
 def _refusal(rule, arena, ctx, nesting):
@@ -205,7 +200,9 @@ def _apply_rule(rule, tree, ctx):
     if derived != ctx or any(type(v) is not int for v in ctx):
         raise GuardError("context does not match the tree's parent/sibling links")
     arena = _Arena(tree)
-    if not (arena.is_saturated(ctx.u) and arena.is_saturated(ctx.w)):
+    h, par = arena.h, arena._parents
+    # saturated: a complete subtree whose parent's is not (neither is the root)
+    if any(h[v] < 0 or h[par[v]] >= 0 for v in (ctx.u, ctx.w)):
         raise GuardError("both switched vertices must be saturated")
     if arena.rank[ctx.u] != arena.rank[ctx.w]:
         raise GuardError("switched vertices must have equal rank")
@@ -213,7 +210,7 @@ def _apply_rule(rule, tree, ctx):
     if refusal is not None:
         raise GuardError(refusal)
     _step(arena, rule, *_rule_edges(rule, arena, ctx))
-    return RootedTree(arena._parents)
+    return arena.tree()
 
 
 def switch_disjoint(tree, ctx):
@@ -274,15 +271,11 @@ def _hoist_edges(arena):
             s = b if a == u else a
             continue
         a, b = kids[u0]
-        u1 = b if a == u else a
-        up = par[u0]
-        removed = [(up, u0), (u0, u1)]
-        added = [(up, u1), (u0, s)]
-        ps = par[s]
+        u1, up, ps = b if a == u else a, par[u0], par[s]
+        removed, added = ((up, u0), (u0, u1)), ((up, u1), (u0, s))
         if ps >= 0:
-            removed.append((ps, s))
-            added.append((ps, u0))
-        return tuple(removed), tuple(added)
+            return (*removed, (ps, s)), (*added, (ps, u0))
+        return removed, added
     return None
 
 
@@ -303,7 +296,7 @@ def hoist_min_saturated(tree):
     if edges is None:
         return tree
     _step(arena, "hoist_min_saturated", *edges)
-    return RootedTree(arena._parents)
+    return arena.tree()
 
 
 RewriteStep = namedtuple(
@@ -331,12 +324,13 @@ class RewriteTrace(namedtuple("RewriteTrace", "steps")):
         return "\n".join(lines)
 
 
-def _select_switch(arena, x, y):
+def _select_switch(arena, x, y, nesting=None):
     """The first (rule, context) whose guard accepts a saturated pair of the
     arena, taken unchecked: oriented (x, y) before (y, x), the rules in
-    :data:`_RULES` order."""
+    :data:`_RULES` order.  Without the (x, y) ``nesting`` it climbs."""
     ctx = _pair_context(arena._parents, arena.kids, x, y)
-    nesting = _nesting(arena, ctx)
+    if nesting is None:
+        nesting = _nesting(arena, ctx)
     for _ in range(2):
         for rule in _RULES:
             if _refusal(rule, arena, ctx, nesting) is None:
@@ -375,61 +369,71 @@ class _Arena:
     Besides the parent links it keeps every internal vertex's two children
     in a list in canonical order (ascending canonical text, the higher id
     first between equal texts, as in :func:`canonical_order`; leaves share
-    the empty tuple) and, per vertex, the rank, the complete height (-1
-    unless the subtree is complete binary) and two bitmasks of the
-    exponents of the saturated vertices in the subtree (``mask``: those
-    present, ``dup``: those present at least twice), plus the running
-    security.  :meth:`rewire` measures the union of the root paths of the
-    vertices whose children changed, each vertex once and in walk order (a
-    per-vertex stamp, the number of the last walk through it, marks the
-    visited vertices), and :meth:`saturated` walks the stored order without
-    comparing anything.
+    the empty tuple), built from the parent array, and, per vertex, the
+    rank, the complete height (-1 unless the subtree is complete binary)
+    and two bitmasks of the exponents of the saturated vertices in the
+    subtree (``mask``: those present, ``dup``: those present at least
+    twice), plus the running security.  :meth:`rewire` measures the union
+    of the root paths of the vertices whose children changed, each vertex
+    once and in walk order (a per-vertex stamp, the number of the last walk
+    through it, marks the visited vertices); the walks of
+    :meth:`saturated` and :meth:`first_two` compare nothing.
     """
 
     def __init__(self, tree):
         n = len(tree)
         self.root = tree.root
-        self._parents = list(tree._parents)
-        self.kids = [list(k) if k else k for k in tree._child_lists()]
-        self.rank = [0] * n
-        self.h = [0] * n
-        self.mask = [1] * n
-        self.dup = [0] * n
+        self._parents = par = list(tree._parents)
+        # listed when its first child is met, ``internal`` runs top down;
+        # leaves keep the measures that the lists start with
+        self.kids = kids = [()] * n
+        internal = []
+        for v in tree._order:
+            p = par[v]
+            if p >= 0:
+                if kids[p]:
+                    kids[p].append(v)
+                else:
+                    kids[p] = [v]
+                    internal.append(p)
+        self.rank, self.h, self.mask, self.dup = [0] * n, [0] * n, [1] * n, [0] * n
         self.stamp, self.walks = [0] * n, 0
         self.security = 0
-        self._measure(reversed(tree._order))
+        self._measure(reversed(internal))
 
     def _measure(self, order):
         """Recompute the measures and the canonical child order of the
         vertices in ``order``, which lists every vertex after its children,
-        and update the running security."""
+        and update the running security; one left childless is a leaf."""
         kids, rank, h = self.kids, self.rank, self.h
         mask, dup = self.mask, self.dup
         gain = 0
         for v in order:
             k = kids[v]
-            if len(k) == 2:
+            try:
                 a, b = k
-                ra, rb = rank[a], rank[b]
-                r = (ra if ra < rb else rb) + 1
+            except ValueError:
+                if k:
+                    raise GuardError("tree is not proper binary") from None
+                kids[v], r, h[v], mask[v], dup[v] = (), 0, 0, 1, 0
+            else:
                 ha = h[a]
-                if ha >= 0 and ha == h[b]:
-                    h[v], mask[v], dup[v] = ha + 1, 2 << ha, 0
-                    c = 0
+                if ha >= 0 and ha == h[b]:  # a complete pair: rank = height
+                    r = h[v] = ha + 1
+                    mask[v], dup[v] = 2 << ha, 0
+                    if a < b:
+                        k[0], k[1] = b, a
                 else:
                     h[v] = -1
                     ma, mb = mask[a], mask[b]
                     mask[v] = ma | mb
                     dup[v] = dup[a] | dup[b] | (ma & mb)
+                    ra, rb = rank[a], rank[b]
+                    r = (ra if ra < rb else rb) + 1
                     # the ranks decide most orders without a call
                     c = ra - rb or _collate(kids, rank, h, a, b)
-                if c > 0 or (c == 0 and a < b):
-                    k[0], k[1] = b, a
-            elif k:
-                raise GuardError("tree is not proper binary")
-            else:
-                r = h[v] = dup[v] = 0
-                mask[v] = 1
+                    if c > 0 or (c == 0 and a < b):
+                        k[0], k[1] = b, a
             gain += r - rank[v]
             rank[v] = r
         self.security += gain
@@ -465,31 +469,45 @@ class _Arena:
         for walk in reversed(walks):
             self._measure(walk)
 
-    def is_saturated(self, v):
-        """True iff v roots a maximal complete subtree."""
-        h, p = self.h, self._parents[v]
-        return h[v] >= 0 and (p < 0 or h[p] < 0)
-
-    def saturated(self, m=None):
+    def saturated(self):
         """Yield the saturated (vertex, exponent) pairs in canonical
-        preorder, or only those with exponent m.
-
-        Walks only the vertices whose subtree is not complete and holds a
-        wanted pair, taking children in their stored canonical order.
-        """
-        h, kids, mask = self.h, self.kids, self.mask
-        want = -1 if m is None else 1 << m
-        stack = [self.root] if mask[self.root] & want else []
+        preorder, taking children in their stored order."""
+        h, kids, stack = self.h, self.kids, [self.root]
         while stack:
             v = stack.pop()
             if h[v] >= 0:
                 yield v, h[v]
-                continue
-            a, b = kids[v]
-            if mask[b] & want:
-                stack.append(b)
-            if mask[a] & want:
-                stack.append(a)
+            else:
+                stack += reversed(kids[v])
+
+    def first_two(self, m):
+        """The first two saturated vertices x, y of exponent m in canonical
+        preorder (there must be two) and the :func:`_nesting` of their
+        parents.  When the walk finds x, y is the entry e on top of its
+        stack or lies below e: -1 if y is e, 1 if e is x's sibling, else 0."""
+        h, kids, mask, par = self.h, self.kids, self.mask, self._parents
+        want, x, stack = 1 << m, -1, [self.root]
+        while True:
+            v = stack.pop()
+            if h[v] < 0:
+                a, b = kids[v]
+                if mask[b] & want:
+                    stack.append(b)
+                if mask[a] & want:
+                    stack.append(a)
+            elif x < 0:
+                x, e = v, stack[-1]
+            else:
+                return x, v, -1 if v == e else 1 if par[e] == par[x] else 0
+
+    def tree(self):
+        """Hand the parent array over as a tree, unchecked: each rewire
+        checked its surgery.  Top-down order: breadth first, siblings by id."""
+        order, kids = [self.root], self.kids
+        for v in order:
+            if kids[v]:
+                order += sorted(kids[v])
+        return RootedTree._make(self._parents, self.root, order)
 
 
 def _step(arena, rule, removed, added):
@@ -521,11 +539,12 @@ def normalize_to_power_spine(tree):
     changed root paths, O(depth) vertices each measured once in walk order
     (ordering two children compares their subtrees only down to the first
     difference, in O(1) when both are complete or one is a leaf), and each
-    merge group finds its two vertices in O(depth) by walking the stored
-    order; the result is validated once at the end.  Memory stays linear
-    in the tree's order.  Raises GuardError if no switching rule accepts a
-    pair, a step would lower security or the steps exceed a guard
-    quadratic in the tree's order.
+    merge group finds its two vertices and their nesting in O(depth) by
+    walking the stored order.  The result is handed over unchecked, as
+    every step checked its surgery.  Memory stays linear in the tree's
+    order.  Raises GuardError if no switching rule accepts a pair, a step
+    would lower security or the steps exceed a guard quadratic in the
+    tree's order.
     """
     arena = _Arena(tree)
     steps = []
@@ -539,16 +558,17 @@ def normalize_to_power_spine(tree):
     h, par = arena.h, arena._parents
     while arena.dup[arena.root]:
         repeated = arena.dup[arena.root].bit_length() - 1
-        (x, _), (y, _) = islice(arena.saturated(repeated), 2)
+        x, y, nesting = arena.first_two(repeated)
         # distinct complete subtrees of one height are disjoint: neither is the root
         while h[x] == h[y] == repeated and h[par[x]] < 0 and h[par[y]] < 0:
-            rule, ctx = _select_switch(arena, x, y)
+            rule, ctx = _select_switch(arena, x, y, nesting)
             apply(rule, *_rule_edges(rule, arena, ctx))
+            nesting = None  # climb if the pair is held for another switch
 
     while (edges := _hoist_edges(arena)) is not None:
         apply("hoist_min_saturated", *edges)
 
-    result = RootedTree(arena._parents) if steps else tree
+    result = arena.tree() if steps else tree
     return result, RewriteTrace(tuple(steps))
 
 

@@ -94,15 +94,16 @@ class RootedTree:
                 raise GuardError("parent links contain a cycle or unreachable vertices")
 
     @classmethod
-    def _make(cls, parents):
+    def _make(cls, parents, root=0, order=None):
         """Trusted constructor: no validation.  The caller promises a valid
-        parent array in which every parent id is smaller than its child
-        ids, so vertex 0 is the root."""
+        parent array with the given root and, as ``order``, a top-down
+        order listing siblings by increasing id; without one, every parent
+        id must be smaller than its child ids, so vertex 0 is the root."""
         self = object.__new__(cls)
         self._parents = parents
         self._children = None
-        self._root = 0
-        self._order = range(len(parents))
+        self._root = root
+        self._order = range(len(parents)) if order is None else order
         return self
 
     def __len__(self):
@@ -139,8 +140,8 @@ class RootedTree:
         return len(self._parents) + 1 - len(set(self._parents))
 
     def _child_lists(self):
-        # lazy, idempotent cache for children(), is_leaf(), degree(), the
-        # reachability check and the rewrite arena; the read passes fold over
+        # lazy, idempotent cache for children(), is_leaf(), degree() and the
+        # reachability check; the read passes and the rewrite arena fold over
         # the parent array instead, as cyclic GC walks every container here.
         # Leaves share the empty tuple; a concurrent duplicate build is benign.
         if self._children is None:

@@ -12,6 +12,7 @@ from treesec import (
     build_binary_caterpillar,
     build_power_spine,
     canonical_form,
+    canonical_order,
     classify,
     enumerate_shapes,
     flip_adjacent,
@@ -30,6 +31,7 @@ from treesec import (
     switch_disjoint,
     switch_nested_high_sibling,
     switch_nested_low_sibling,
+    tree_to_json,
 )
 from treesec import rewrites
 from treesec.cli import main
@@ -299,9 +301,7 @@ class TestSwitchNestedLowSibling:
                 ranks = all_ranks(t)
                 for u, w in equal_rank_saturated_pairs(t):
                     ctx = SwitchContext.for_pair(t, u, w)
-                    from treesec.rewrites import _is_strict_ancestor
-
-                    if not _is_strict_ancestor(t, ctx.u0, ctx.w0):
+                    if rewrites._nesting(t, ctx) != 1:
                         continue
                     if ranks[ctx.w1] > ranks[ctx.u] - 1:
                         continue
@@ -590,25 +590,67 @@ class TestNormalizePinned:
         assert (len(shapes), steps) == (850, 5738)
 
 
+def _same_as_validated(out):
+    """The tree a rewrite handed over reads as the validated tree of its
+    parent array."""
+    ref = RootedTree(out._parents)
+    assert out.root == ref.root
+    for read in (serialize, canonical_order, tree_to_json, RootedTree.depths):
+        assert read(out) == read(ref), read.__name__
+
+
+# (text, switched pair): a ternary root, a unary vertex below the root and
+# a ternary vertex below the root
+_NON_PROPER = {
+    "ternary_root": ("((LL)(LL)L)", 2, 5),
+    "unary_vertex": ("((LL)((LL)))", 2, 6),
+    "deep_ternary": ("((LL)(LLL))", 2, 3),
+}
+_REFUSING = ("switch_disjoint", "hoist_min_saturated", "normalize_to_power_spine")
+
+
 class TestArena:
     """The normalizer's mutable arena: its surgery check and its repair."""
 
+    FIELDS = ("rank", "h", "kids", "mask", "dup", "root", "security")
+
     @pytest.mark.parametrize(
-        "rewrite",
-        [
-            lambda: switch_disjoint(
-                parse("((LL)(LL)L)"),
-                SwitchContext.for_pair(parse("((LL)(LL)L)"), 2, 5),
-            ),
-            lambda: hoist_min_saturated(parse("(LLL)")),
-            lambda: normalize_to_power_spine(parse("(LLL)")),
+        "rewrite,shape",
+        [pytest.param(r, "ternary_root", id=r) for r in _REFUSING]
+        + [
+            pytest.param(r, shape, id=f"{r.split('_')[0]}-{shape}")
+            for shape in ("unary_vertex", "deep_ternary")
+            for r in _REFUSING
         ],
-        ids=["switch_disjoint", "hoist_min_saturated", "normalize_to_power_spine"],
     )
-    def test_non_proper_binary_trees_are_refused(self, rewrite):
+    def test_non_proper_binary_trees_are_refused(self, rewrite, shape):
+        text, u, w = _NON_PROPER[shape]
+        t = parse(text)
         with pytest.raises(GuardError) as err:
-            rewrite()
+            if rewrite == "switch_disjoint":
+                switch_disjoint(t, SwitchContext.for_pair(t, u, w))
+            elif rewrite == "hoist_min_saturated":
+                hoist_min_saturated(t)
+            else:
+                normalize_to_power_spine(t)
         assert str(err.value) == "tree is not proper binary"
+
+    def test_surgery_that_leaves_one_child_is_refused(self):
+        # vertex 2 keeps one child and leaf 5 gains one
+        arena = rewrites._Arena(parse("(((LL)L)L)"))
+        with pytest.raises(GuardError) as err:
+            arena.rewire(((2, 4),), ((5, 4),))
+        assert str(err.value) == "tree is not proper binary"
+
+    def test_surgery_that_empties_a_vertex_is_measured_exactly(self):
+        # both children of 2 move to leaf 5, so 2 is measured as a leaf
+        arena = rewrites._Arena(parse("(((LL)L)L)"))
+        arena.rewire(((2, 3), (2, 4)), ((5, 3), (5, 4)))
+        assert arena.security == 3
+        fresh = rewrites._Arena(arena.tree())
+        for name in self.FIELDS:
+            assert getattr(arena, name) == getattr(fresh, name), name
+        _same_as_validated(arena.tree())
 
     def test_cyclic_surgery_is_refused(self):
         arena = rewrites._Arena(parse("(((LL)L)L)"))
@@ -650,7 +692,6 @@ class TestArena:
                     assert arena.kids[v] == kids, serialize(t)
 
     def test_repair_matches_a_fresh_arena_after_every_step(self, monkeypatch):
-        fields = ("rank", "h", "kids", "mask", "dup", "root", "security")
         rewire = rewrites._Arena.rewire
         seen = {"three_edge": 0, "new_root": 0}
 
@@ -658,7 +699,7 @@ class TestArena:
             root = arena.root
             rewire(arena, removed, added)
             fresh = rewrites._Arena(RootedTree(arena._parents))
-            for name in fields:
+            for name in self.FIELDS:
                 assert getattr(arena, name) == getattr(fresh, name), name
             seen["three_edge"] += len(removed) == 3
             seen["new_root"] += arena.root != root
@@ -668,6 +709,65 @@ class TestArena:
         for tree in shapes + _seeded_random_trees(20, 300, seed=0xA7E):
             normalize_to_power_spine(tree)
         assert seen["three_edge"] and seen["new_root"]
+
+    def test_nesting_is_read_off_the_pair_search(self, monkeypatch):
+        # every nesting the search returns is the one climbing finds, and
+        # only a repeated switch of a held pair climbs
+        first_two, select, nesting = (
+            rewrites._Arena.first_two,
+            rewrites._select_switch,
+            rewrites._nesting,
+        )
+        seen = {"searches": 0, "repeats": 0, "climbs": 0}
+
+        def checked_first_two(arena, m):
+            x, y, found = first_two(arena, m)
+            ctx = rewrites._pair_context(arena._parents, arena.kids, x, y)
+            assert found == nesting(arena, ctx)
+            seen["searches"] += 1
+            return x, y, found
+
+        def climbing(tree, ctx):
+            seen["climbs"] += 1
+            return nesting(tree, ctx)
+
+        def counted_select(arena, x, y, given=None):
+            climbs = seen["climbs"]
+            out = select(arena, x, y, given)
+            assert seen["climbs"] == climbs + (given is None)
+            seen["repeats"] += given is None
+            return out
+
+        monkeypatch.setattr(rewrites._Arena, "first_two", checked_first_two)
+        monkeypatch.setattr(rewrites, "_nesting", climbing)
+        monkeypatch.setattr(rewrites, "_select_switch", counted_select)
+        for tree in _handover_trees():
+            normalize_to_power_spine(tree)
+        assert seen["searches"] and seen["repeats"]
+        assert seen["climbs"] == seen["repeats"]
+
+    def test_handed_over_trees_read_as_validated_ones(self):
+        # the rewrites hand over the arena's tree unchecked
+        for tree in _handover_trees():
+            out, trace = normalize_to_power_spine(tree)
+            if trace.steps:
+                _same_as_validated(out)
+        for leaves in range(2, 11):
+            for t in enumerate_shapes(leaves):
+                for _, _, out in guarded_applications(t):
+                    _same_as_validated(out)
+                if len(set(partition_vector(t))) == len(partition_vector(t)):
+                    _same_as_validated(hoist_min_saturated(t))
+
+    def test_normalization_builds_no_child_tuples_on_its_input(self):
+        t = parse(serialize(random_proper_binary(300, random.Random(0x4E5))))
+        out, trace = normalize_to_power_spine(t)
+        assert trace.steps and t._children is None
+
+
+def _handover_trees():
+    shapes = [t for leaves in range(2, 13) for t in enumerate_shapes(leaves)]
+    return shapes + _seeded_random_trees(40, 300, seed=0x4E5)
 
 
 # sha256 over every accepted flip of the power spines on 1..299 leaves
