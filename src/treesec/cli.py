@@ -7,13 +7,13 @@ byte-deterministic for fixed inputs.
 
 import argparse
 import sys
-from itertools import islice
 
-from . import builders, exhaustive, formulas, rewrites, trees
+# every census command needs these two; builders, formulas and rewrites are
+# imported by the commands that use them, so no other command compiles them
+from . import exhaustive, trees
 from .errors import GuardError, ParseError, SizeError, _count
 
 __all__ = ["main"]
-_LISTING_BLOCK = 4096  # lines per write of the enumerate listing
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,31 +107,32 @@ def _build_parser():
     return parser
 
 
-def _starlike(arms):
-    try:
-        arms = [int(a) for a in arms.split(",")]
-    except ValueError:
-        raise GuardError("--arms must be comma-separated integers") from None
-    return builders.build_starlike(arms)
-
-
-# each family's builder and the flags it reads, in argument order
+# each family's builder in treesec.builders and the flags it reads, in
+# argument order
 _FAMILIES = {
-    "tl": (builders.build_power_spine, ("leaves",)),
-    "f": (builders.build_almost_complete, ("leaves",)),
-    "complete": (builders.build_complete_binary, ("height",)),
-    "caterpillar": (builders.build_binary_caterpillar, ("leaves",)),
-    "starlike": (_starlike, ("arms",)),
-    "complete-kary": (builders.build_complete_kary, ("order", "k")),
+    "tl": ("build_power_spine", ("leaves",)),
+    "f": ("build_almost_complete", ("leaves",)),
+    "complete": ("build_complete_binary", ("height",)),
+    "caterpillar": ("build_binary_caterpillar", ("leaves",)),
+    "starlike": ("build_starlike", ("arms",)),
+    "complete-kary": ("build_complete_kary", ("order", "k")),
 }
 
 
 def _cmd_build(args, out):
-    build, flags = _FAMILIES[args.family]
+    from . import builders
+
+    name, flags = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
     for flag, value in zip(flags, values):
         if value in (None, ""):
             raise GuardError(f"--{flag} is required for family {args.family}")
+    if args.family == "starlike":
+        try:
+            values = [[int(a) for a in args.arms.split(",")]]
+        except ValueError:
+            raise GuardError("--arms must be comma-separated integers") from None
+    build = getattr(builders, name)
     out.write(trees.serialize(build(*values), canonical=True) + "\n")
 
 
@@ -161,6 +162,8 @@ def _cmd_partition(args, out):
 
 
 def _cmd_normalize(args, out):
+    from . import rewrites
+
     tree = trees.canonical_form(_read_tree_arg(args))
     result, trace = rewrites.normalize_to_power_spine(tree)
     if args.trace and trace.steps:
@@ -169,6 +172,8 @@ def _cmd_normalize(args, out):
 
 
 def _cmd_flip(args, out):
+    from . import rewrites
+
     flipped = rewrites.flip_adjacent(_read_tree_arg(args), args.index, args.variant)
     out.write(trees.serialize(flipped, canonical=True) + "\n")
 
@@ -177,29 +182,33 @@ def _cmd_enumerate(args, out):
     if args.count_only:
         out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
     else:
-        # blocks of lines, so an unbuffered stdout is not one syscall per shape
-        texts = exhaustive._shape_texts(args.leaves)
-        while block := "\n".join(islice(texts, _LISTING_BLOCK)):
+        for block in exhaustive._shape_blocks(args.leaves):
             out.write(block + "\n")
 
 
 def _security_rows(top):
+    from .formulas import max_security
+
     # every leaf count is measured on one build of the shape tables
     best = exhaustive._bshapes(top)[1]
     for n in range(3, top + 1):
-        yield n, formulas.max_security(n), max(best[n])
+        yield n, max_security(n), max(best[n])
 
 
 def _kary_rows(orders, k):
+    from .formulas import max_root_rank_kary
+
     for n, got in exhaustive._root_rank_rows(orders, k, proper=True):
-        want = formulas.max_root_rank_kary(n, k).value
+        want = max_root_rank_kary(n, k).value
         yield n, want, got.max_root_rank
         yield n, want, got.max_vertex_rank
 
 
 def _starlike_rows(orders, k):
+    from .formulas import max_root_rank_starlike
+
     for n, got in exhaustive._root_rank_rows(orders, root_degree=k):
-        yield n, formulas.max_root_rank_starlike(n, k).value, got.max_root_rank
+        yield n, max_root_rank_starlike(n, k).value, got.max_root_rank
 
 
 def _cmd_verify(args, out):

@@ -53,7 +53,7 @@ one :func:`_kshapes` build.
 """
 
 from collections import Counter, namedtuple
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 
 from .errors import GuardError, SizeError, _count
 from .trees import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY, parse
@@ -76,9 +76,11 @@ MAX_ENUM_LEAVES = 22
 
 # A key has one hex digit per character of the longest text the guard
 # admits; its top digit is ``L`` for the leaf and ``(`` for every pair.
-_HEX = f"0{3 * MAX_ENUM_LEAVES - 2}x"
 _BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
 _BOPEN = 2 * _BLEAF
+# texts formatted and translated at a time, and lines per write of the
+# ``enumerate`` listing, so an unbuffered stdout is not one syscall per shape
+_TEXT_BLOCK = 4096
 
 
 def _class_pairs(leaves, *tables):
@@ -151,16 +153,31 @@ def _bkeys(top, best=None):
     return keys
 
 
-def _texts(keys, leaves):
-    """The canonical texts of the ``leaves``-leaf ``keys``, sorted."""
+def _text_blocks(keys, leaves):
+    """The canonical texts of the ``leaves``-leaf ``keys``, sorted, in
+    blocks of ``_TEXT_BLOCK`` texts joined by newlines.  A text is its key's
+    top 3 * ``leaves`` - 2 hex digits, and each block is translated at once."""
     cut = 3 * leaves - 2
-    for key in sorted(keys):
-        yield format(key, _HEX)[:cut].translate(_KEY_TEXT)
+    shift, digits = 4 * (3 * MAX_ENUM_LEAVES - 2 - cut), f"0{cut}x"
+    keys = iter(sorted(keys))
+    while block := [format(key >> shift, digits) for key in islice(keys, _TEXT_BLOCK)]:
+        yield "\n".join(block).translate(_KEY_TEXT)
+
+
+def _texts(blocks):
+    """The texts of ``blocks``, one by one."""
+    return chain.from_iterable(block.split("\n") for block in blocks)
+
+
+def _shape_blocks(leaves):
+    """Canonical texts of the ``leaves``-leaf shapes, in canonical order, in
+    blocks (see :func:`_text_blocks`)."""
+    return _text_blocks(chain.from_iterable(_bkeys(leaves)[leaves]), leaves)
 
 
 def _shape_texts(leaves):
     """Canonical texts of the ``leaves``-leaf shapes, in canonical order."""
-    return _texts(chain.from_iterable(_bkeys(leaves)[leaves]), leaves)
+    return _texts(_shape_blocks(leaves))
 
 
 def enumerate_shapes(leaves):
@@ -235,7 +252,7 @@ def maximizer_shapes(leaves):
     top = max(best[leaves])
     level = zip(_bkeys(leaves, best)[leaves], best[leaves])
     found = chain.from_iterable(keys for keys, sec in level if sec == top)
-    for text in _texts(found, leaves):
+    for text in _texts(_text_blocks(found, leaves)):
         yield parse(text)
 
 
@@ -307,14 +324,14 @@ def _kshapes(n, k, proper):
     for order in range(2, n + 1):
         level = []
         for kids in _kid_multisets(order - 1, order - 1, k or order - 1, levels, proper):
-            kids = sorted(kids)
-            root_rank = 1 + min(s[1] for s in kids)
+            canons, ranks, tops, _ = zip(*sorted(kids))
+            root_rank = 1 + min(ranks)
             level.append(
                 (
-                    _OPEN_KEY + "".join(s[0] for s in kids) + _CLOSE_KEY,
+                    _OPEN_KEY + "".join(canons) + _CLOSE_KEY,
                     root_rank,
-                    max(root_rank, *(s[2] for s in kids)),
-                    len(kids),
+                    max(root_rank, *tops),
+                    len(canons),
                 )
             )
         levels.append(level)

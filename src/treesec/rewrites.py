@@ -61,13 +61,19 @@ class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
                 raise GuardError(f"vertex id {v} out of range")
         if u == w:
             raise GuardError("the two switched vertices must differ")
+        # read off the parent array, so the tree builds no child tuples
+        par = tree._parents
         for v in (u, w):
-            p = tree.parent(v)
-            if p is None:
+            if par[v] < 0:
                 raise GuardError(f"vertex {v} is the root and has no parent")
-            if len(tree.children(p)) != 2:
+            if par.count(par[v]) != 2:
                 raise GuardError(f"parent of vertex {v} must have exactly two children")
-        return _pair_context(tree._parents, tree._child_lists(), u, w)
+
+        def sibling(v):
+            first = par.index(par[v])
+            return par.index(par[v], first + 1) if first == v else first
+
+        return SwitchContext(u, w, par[u], par[w], sibling(u), sibling(w))
 
 
 def _pair_context(par, kids, u, w):

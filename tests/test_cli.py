@@ -733,9 +733,10 @@ def test_shape_tables_stay_small(argv, limit_mb):
 
 
 def test_package_imports_only_the_standard_library():
-    # a fresh interpreter, so that modules the tests import hide nothing
+    # a fresh interpreter, so that modules the tests import hide nothing;
+    # dir() loads every module of the package
     probe = (
-        "import sys; before = set(sys.modules); import treesec, treesec.cli; "
+        "import sys; before = set(sys.modules); import treesec, treesec.cli; dir(treesec); "
         "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -766,8 +767,8 @@ def _run_without_site(probe):
 
 def test_package_import_skips_the_modules_it_does_not_need():
     # dataclasses pulls in inspect, and json and fractions are imported
-    # where they are used
-    probe = "import sys, treesec, treesec.cli; print(*sys.modules)"
+    # where they are used; dir() loads every module of the package
+    probe = "import sys, treesec, treesec.cli; dir(treesec); print(*sys.modules)"
     loaded = set(_run_without_site(probe).split())
     assert "treesec.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "json", "fractions"}
@@ -801,7 +802,7 @@ class TestListingBlocks:
         cli._cmd_enumerate(argparse.Namespace(leaves=leaves, count_only=False), out)
         want = "".join(t + "\n" for t in exhaustive._shape_texts(leaves))
         assert "".join(out.calls) == want
-        blocks = -(-exhaustive.count_shapes(leaves) // cli._LISTING_BLOCK)
+        blocks = -(-exhaustive.count_shapes(leaves) // exhaustive._TEXT_BLOCK)
         assert len(out.calls) <= blocks
 
     def test_unbuffered_stdout_prints_the_same_bytes(self):
@@ -866,12 +867,18 @@ def test_result_records_keep_their_fields_and_stay_immutable(record, names, valu
     assert record.__doc__
 
 
-def test_package_exports_the_union_of_the_modules_public_names():
-    import treesec
+def _declared_names():
     from treesec import builders, errors, formulas, rewrites, trees
 
     modules = (builders, errors, exhaustive, formulas, rewrites, trees)
-    declared = {name for module in modules for name in module.__all__}
+    return [name for module in modules for name in module.__all__]
+
+
+def test_package_exports_the_union_of_the_modules_public_names():
+    import treesec
+
+    declared = set(_declared_names())
+    dir(treesec)  # the names load on first use
     public = {
         name
         for name, value in vars(treesec).items()
@@ -879,6 +886,73 @@ def test_package_exports_the_union_of_the_modules_public_names():
     }
     assert public == declared
     assert "MAX_ENUM_LEAVES" in public
+
+
+def test_star_import_dir_and_all_give_the_union_of_the_modules_names():
+    import treesec
+
+    declared = _declared_names()
+    namespace = {}
+    exec("from treesec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(declared)
+    listed = {
+        name
+        for name in dir(treesec)
+        if not name.startswith("_") and not isinstance(getattr(treesec, name), ModuleType)
+    }
+    assert listed == set(declared)
+    assert sorted(treesec.__all__) == sorted(declared)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__"])
+def test_package_has_no_other_attribute(name):
+    import treesec
+
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(treesec, name)
+
+
+def test_package_names_load_on_first_use():
+    # importing one module loads only what it imports; the first public
+    # name of the package loads every module
+    out = _run_without_site(
+        "import sys, treesec\n"
+        "from treesec import trees\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('treesec.'))\n"
+        "print(*loaded())\n"
+        "treesec.parse\n"
+        "print(*loaded())"
+    )
+    modules = "builders errors exhaustive formulas rewrites trees"
+    assert out.splitlines() == [
+        "treesec.errors treesec.trees",
+        " ".join(f"treesec.{m}" for m in modules.split()),
+    ]
+
+
+# the modules that only some commands import, and which of them each loads
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        ("table --max-leaves 5", set()),
+        ("enumerate --leaves 5", set()),
+        ("enumerate --leaves 5 --count-only", set()),
+        ("verify --max-leaves 5", {"builders", "formulas"}),
+        ("verify --kary 7 3 --starlike 6 3", {"builders", "formulas"}),
+        ("build --family tl --leaves 5", {"builders"}),
+        ("normalize --tree ((LL)(L(LL)))", {"builders", "rewrites"}),
+        ("flip --tree (L((LL)((LL)(LL)))) --index 2 --variant 2", {"builders", "rewrites"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, want):
+    out = _run_without_site(
+        "import sys; from treesec.cli import main; "
+        f"code = main({argv.split()!r}); print(code, *sys.modules)"
+    )
+    code, *loaded = out.splitlines()[-1].split()
+    optional = {f"treesec.{m}" for m in ("builders", "formulas", "rewrites")}
+    assert code == "0"
+    assert optional & set(loaded) == {f"treesec.{m}" for m in want}
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -35,7 +35,7 @@ from treesec import (
 )
 from treesec import rewrites
 from treesec.cli import main
-from treesec.rewrites import _rewire, _rule_edges
+from treesec.rewrites import _pair_context, _rewire, _rule_edges
 from treesec.trees import _canonical
 from oracles import (
     random_general,
@@ -138,12 +138,34 @@ class TestSwitchContext:
         [
             ("((L(LL))(L(LL)))", 1, 1, "the two switched vertices must differ"),
             ("((LLL)(LL))", 2, 6, "parent of vertex 2 must have exactly two children"),
+            ("((LL)(LLL))", 2, 5, "parent of vertex 5 must have exactly two children"),
+            ("((L)L)", 3, 2, "parent of vertex 2 must have exactly two children"),
+            ("(LL)", 0, 1, "vertex 0 is the root and has no parent"),
+            ("((LL)L)", 2, 0, "vertex 0 is the root and has no parent"),
+            ("((LLL)L)", 2, 0, "parent of vertex 2 must have exactly two children"),
         ],
     )
     def test_pair_refusals(self, text, u, w, message):
         with pytest.raises(GuardError) as err:
             SwitchContext.for_pair(parse(text), u, w)
         assert str(err.value) == message
+
+    def test_derivation_reads_the_parent_array(self):
+        # every ordered pair of every shape to 8 leaves, against the child
+        # lists; deriving builds no child tuples on the tree
+        for leaves in range(2, 9):
+            for t in enumerate_shapes(leaves):
+                pairs = [(u, w) for u in range(1, len(t)) for w in range(1, len(t)) if u != w]
+                got = [SwitchContext.for_pair(t, u, w) for u, w in pairs]
+                assert t._children is None
+                kids = t._child_lists()
+                assert got == [_pair_context(t._parents, kids, u, w) for u, w in pairs]
+
+    def test_public_switch_builds_no_child_tuples_on_its_input(self):
+        t = parse("((L(LL))(L(LL)))")
+        out = switch_disjoint(t, SwitchContext.for_pair(t, 2, 7))
+        assert is_isomorphic(out, parse("(((LL)(LL))(LL))"))
+        assert t._children is None
 
     def test_unequal_rank_pair_rejected(self):
         # vertex 1 is a saturated cherry (rank 1), vertex 8 a saturated leaf
