@@ -164,20 +164,17 @@ def _text_blocks(keys, leaves):
         yield "\n".join(block).translate(_KEY_TEXT)
 
 
-def _texts(blocks):
-    """The texts of ``blocks``, one by one."""
-    return chain.from_iterable(block.split("\n") for block in blocks)
+def _parsed(blocks):
+    """The trees of the texts of ``blocks``, one by one."""
+    for block in blocks:
+        for text in block.split("\n"):
+            yield parse(text)
 
 
 def _shape_blocks(leaves):
     """Canonical texts of the ``leaves``-leaf shapes, in canonical order, in
     blocks (see :func:`_text_blocks`)."""
     return _text_blocks(chain.from_iterable(_bkeys(leaves)[leaves]), leaves)
-
-
-def _shape_texts(leaves):
-    """Canonical texts of the ``leaves``-leaf shapes, in canonical order."""
-    return _texts(_shape_blocks(leaves))
 
 
 def enumerate_shapes(leaves):
@@ -187,8 +184,7 @@ def enumerate_shapes(leaves):
     Each tree is already in canonical form: its ids are in canonical
     preorder and its children are stored in canonical order, so
     ``serialize(t)`` equals ``serialize(t, canonical=True)``."""
-    for text in _shape_texts(leaves):
-        yield parse(text)
+    yield from _parsed(_shape_blocks(leaves))
 
 
 def _shape_classes(leaves):
@@ -252,8 +248,7 @@ def maximizer_shapes(leaves):
     top = max(best[leaves])
     level = zip(_bkeys(leaves, best)[leaves], best[leaves])
     found = chain.from_iterable(keys for keys, sec in level if sec == top)
-    for text in _texts(_text_blocks(found, leaves)):
-        yield parse(text)
+    yield from _parsed(_text_blocks(found, leaves))
 
 
 def census_table(max_leaves):

@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .builders import _spine_parents, binary_power_representation, build_power_spine
 from .errors import GuardError
-from .trees import RootedTree, _canonical, _preorder, is_isomorphic
+from .trees import RootedTree, _canonical, _kid_lists, _preorder, _top_down, _vertex, is_isomorphic
 
 __all__ = [
     "SwitchContext",
@@ -56,9 +56,7 @@ class SwitchContext(namedtuple("SwitchContext", "u w u0 w0 u1 w1")):
         the two vertices are equal, either vertex is the root, or its parent
         does not have exactly two children.
         """
-        for v in (u, w):
-            if type(v) is not int or not 0 <= v < len(tree):
-                raise GuardError(f"vertex id {v} out of range")
+        u, w = _vertex(tree, u), _vertex(tree, w)
         if u == w:
             raise GuardError("the two switched vertices must differ")
         # read off the parent array, so the tree builds no child tuples
@@ -375,8 +373,9 @@ class _Arena:
     Besides the parent links it keeps every internal vertex's two children
     in a list in canonical order (ascending canonical text, the higher id
     first between equal texts, as in :func:`canonical_order`; leaves share
-    the empty tuple), built from the parent array, and, per vertex, the
-    rank, the complete height (-1 unless the subtree is complete binary)
+    the empty tuple; ``trees._kid_lists`` builds them from the input, and
+    :meth:`tree` hands over the order of ``trees._top_down``), and, per vertex,
+    the rank, the complete height (-1 unless the subtree is complete binary)
     and two bitmasks of the exponents of the saturated vertices in the
     subtree (``mask``: those present, ``dup``: those present at least
     twice), plus the running security.  :meth:`rewire` measures the union
@@ -389,19 +388,9 @@ class _Arena:
     def __init__(self, tree):
         n = len(tree)
         self.root = tree.root
-        self._parents = par = list(tree._parents)
-        # listed when its first child is met, ``internal`` runs top down;
-        # leaves keep the measures that the lists start with
-        self.kids = kids = [()] * n
-        internal = []
-        for v in tree._order:
-            p = par[v]
-            if p >= 0:
-                if kids[p]:
-                    kids[p].append(v)
-                else:
-                    kids[p] = [v]
-                    internal.append(p)
+        self._parents = list(tree._parents)
+        # ``internal`` runs top down; each measure list starts at leaf values
+        self.kids, internal = _kid_lists(self._parents, tree._order)
         self.rank, self.h, self.mask, self.dup = [0] * n, [0] * n, [1] * n, [0] * n
         self.stamp, self.walks = [0] * n, 0
         self.security = 0
@@ -508,12 +497,8 @@ class _Arena:
 
     def tree(self):
         """Hand the parent array over as a tree, unchecked: each rewire
-        checked its surgery.  Top-down order: breadth first, siblings by id."""
-        order, kids = [self.root], self.kids
-        for v in order:
-            if kids[v]:
-                order += sorted(kids[v])
-        return RootedTree._make(self._parents, self.root, order)
+        checked its surgery."""
+        return RootedTree._make(self._parents, self.root, _top_down(self._parents, self.root))
 
 
 def _step(arena, rule, removed, added):
@@ -639,9 +624,7 @@ def reroot_at_vertex(tree, v, mode="general"):
     """
     if mode not in ("general", "degree_preserving"):
         raise GuardError(f"unknown mode {mode!r}")
-    if type(v) is not int or not 0 <= v < len(tree):
-        raise GuardError(f"vertex id {v} out of range")
-    if v == tree.root:
+    if _vertex(tree, v) == tree.root:
         return tree
     u, r = tree.parent(v), tree.root
     w = _deepest_canonical_leaf(tree, v)

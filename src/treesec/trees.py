@@ -86,11 +86,8 @@ class RootedTree:
         if all(parents[i] < i for i in range(n)):
             self._order = range(n)
         else:  # the reachability check's breadth-first order is kept
-            self._order = order = [self._root]
-            ch = self._child_lists()
-            for v in order:
-                order.extend(ch[v])
-            if len(order) != n:
+            self._order = _top_down(parents, self._root)
+            if len(self._order) != n:
                 raise GuardError("parent links contain a cycle or unreachable vertices")
 
     @classmethod
@@ -121,40 +118,31 @@ class RootedTree:
 
     def parent(self, v):
         """Parent id of ``v``, or None for the root."""
-        p = self._parents[v]
+        p = self._parents[_vertex(self, v)]
         return None if p < 0 else p
 
     def children(self, v):
         """Child ids of ``v`` in storage order."""
-        return self._child_lists()[v]
+        return self._child_lists()[_vertex(self, v)]
 
     def is_leaf(self, v):
-        return not self._child_lists()[v]
+        return not self._child_lists()[_vertex(self, v)]
 
     def degree(self, v):
         """Number of children of ``v`` (the outdegree)."""
-        return len(self._child_lists()[v])
+        return len(self._child_lists()[_vertex(self, v)])
 
     def leaf_count(self):
         # the distinct parent ids are the internal vertices and the -1 root mark
         return len(self._parents) + 1 - len(set(self._parents))
 
     def _child_lists(self):
-        # lazy, idempotent cache for children(), is_leaf(), degree() and the
-        # reachability check; the read passes and the rewrite arena fold over
-        # the parent array instead, as cyclic GC walks every container here.
-        # Leaves share the empty tuple; a concurrent duplicate build is benign.
+        # lazy, idempotent cache for children(), is_leaf() and degree(); the
+        # constructor, the read passes and the rewrite arena never build it,
+        # as cyclic GC walks every container here.  Tuples, leaves sharing
+        # the empty one; a concurrent duplicate build is benign.
         if self._children is None:
-            ch = [()] * len(self._parents)
-            internal = []
-            for i, p in enumerate(self._parents):
-                if p >= 0:
-                    kids = ch[p]
-                    if kids:
-                        kids.append(i)
-                    else:
-                        ch[p] = [i]
-                        internal.append(p)
+            ch, internal = _kid_lists(self._parents, range(len(self._parents)))
             for v in internal:
                 ch[v] = tuple(ch[v])
             self._children = ch
@@ -169,6 +157,38 @@ class RootedTree:
             if p >= 0:
                 d[v] = d[p] + 1
         return d
+
+
+def _vertex(tree, v):
+    """``v``, if it is a vertex id of ``tree``: an int in 0..n-1."""
+    if type(v) is not int or not 0 <= v < len(tree._parents):
+        raise GuardError(f"vertex id {v} out of range")
+    return v
+
+
+def _kid_lists(par, order):
+    """Each internal vertex's children as a list in ``order``'s order, every
+    leaf sharing ``()``, and the internal vertices in the order their first
+    child was met."""
+    kids, internal = [()] * len(par), []
+    for v in order:
+        p = par[v]
+        if p >= 0:
+            if kids[p]:
+                kids[p].append(v)
+            else:
+                kids[p] = [v]
+                internal.append(p)
+    return kids, internal
+
+
+def _top_down(par, root):
+    """What ``root`` reaches, breadth first, siblings by increasing id."""
+    kids = _kid_lists(par, range(len(par)))[0]
+    order = [root]
+    for v in order:
+        order += kids[v]
+    return order
 
 
 def parse(text):

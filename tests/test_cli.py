@@ -633,7 +633,7 @@ class TestCensusPaths:
         assert code == 0 and out == "OK: formula = oracle for ℓ=3..20\n"
 
     def test_listing_measures_no_security(self, capsys, monkeypatch):
-        want = "".join(t + "\n" for t in exhaustive._shape_texts(12))
+        want = "".join(trees.serialize(t) + "\n" for t in exhaustive.enumerate_shapes(12))
         monkeypatch.setattr(exhaustive, "_bshapes", self._fail)
         code, out, err = run(capsys, "enumerate", "--leaves", "12")
         assert (code, out, err) == (0, want, "")
@@ -800,7 +800,7 @@ class TestListingBlocks:
     def test_listing_is_written_in_blocks(self, leaves):
         out = _Writes()
         cli._cmd_enumerate(argparse.Namespace(leaves=leaves, count_only=False), out)
-        want = "".join(t + "\n" for t in exhaustive._shape_texts(leaves))
+        want = "".join(trees.serialize(t) + "\n" for t in exhaustive.enumerate_shapes(leaves))
         assert "".join(out.calls) == want
         blocks = -(-exhaustive.count_shapes(leaves) // exhaustive._TEXT_BLOCK)
         assert len(out.calls) <= blocks

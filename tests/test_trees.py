@@ -596,6 +596,26 @@ class TestArenaValidation:
         assert t.depths() == [1, 1, 2, 0, 1, 2]
         assert serialize(t) == "(LL(LL))"
 
+    def test_constructor_builds_no_child_tuples(self):
+        # the reachability check leaves no child tuples behind, also on the
+        # rerooted trees whose parent arrays are not top-down
+        t = RootedTree([3, 3, 4, -1, 3, 4])
+        assert t._children is None and t._order == [3, 0, 1, 4, 2, 5]
+        cat = build_binary_caterpillar(1000)
+        moved = reroot_at_vertex(cat, len(cat) - 3)
+        assert moved._order != range(len(moved)) and moved._children is None
+        assert t.children(3) == (0, 1, 4) and t._children is not None
+
+    @pytest.mark.parametrize("bad", [-1, -2, 5, True, 1.0])
+    @pytest.mark.parametrize("accessor", ["parent", "children", "is_leaf", "degree"])
+    def test_accessors_refuse_what_is_not_a_vertex_id(self, accessor, bad):
+        # -1 and -2 would index from the end and True would read vertex 1;
+        # the message is the one the rewrites give
+        t = parse("(L(LL))")
+        with pytest.raises(GuardError) as err:
+            getattr(t, accessor)(bad)
+        assert str(err.value) == f"vertex id {bad} out of range"
+
     def test_repr_truncates_long_text(self):
         assert repr(parse("((LL)L)")) == "RootedTree('((LL)L)')"
         t = parse("(" + "L" * 70 + ")")
