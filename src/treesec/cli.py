@@ -140,9 +140,7 @@ def _cmd_rank(args, out):
     tree = trees.canonical_form(_read_tree_arg(args))
     ranks = trees.all_ranks(tree)
     if args.vertex is not None:
-        if not 0 <= args.vertex < len(tree):
-            raise GuardError("vertex index out of range")
-        out.write(f"{ranks[args.vertex]}\n")
+        out.write(f"{ranks[trees._vertex(tree, args.vertex)]}\n")
     else:
         for v, r in enumerate(ranks):
             out.write(f"{v}\t{r}\n")

@@ -265,10 +265,12 @@ def _hoist_edges(arena):
     distinct."""
     if arena.dup[arena.root]:
         raise GuardError("repeated partition exponents; normalize first")
-    par, kids, s = arena._parents, arena.kids, arena.root
-    for u, _ in sorted(arena.saturated(), key=lambda vm: vm[1]):
-        if u == s:
-            return None
+    # the blocks already in place hang off the root path above s, so the
+    # next one is the block of s's lowest exponent; at the fixed point it
+    # is s itself
+    par, kids, mask, s = arena._parents, arena.kids, arena.mask, arena.root
+    while arena.h[s] < 0:
+        u = arena.first(s, mask[s] & -mask[s])
         u0 = par[u]
         if u0 == s:
             a, b = kids[s]
@@ -381,8 +383,8 @@ class _Arena:
     twice), plus the running security.  :meth:`rewire` measures the union
     of the root paths of the vertices whose children changed, each vertex
     once and in walk order (a per-vertex stamp, the number of the last walk
-    through it, marks the visited vertices); the walks of
-    :meth:`saturated` and :meth:`first_two` compare nothing.
+    through it, marks the visited vertices).  :meth:`first` finds a
+    saturated vertex by descending the exponent masks, comparing nothing.
     """
 
     def __init__(self, tree):
@@ -464,36 +466,31 @@ class _Arena:
         for walk in reversed(walks):
             self._measure(walk)
 
-    def saturated(self):
-        """Yield the saturated (vertex, exponent) pairs in canonical
-        preorder, taking children in their stored order."""
-        h, kids, stack = self.h, self.kids, [self.root]
-        while stack:
-            v = stack.pop()
-            if h[v] >= 0:
-                yield v, h[v]
-            else:
-                stack += reversed(kids[v])
+    def first(self, v, want):
+        """The first saturated vertex of exponent bit ``want`` in v's
+        subtree, in canonical preorder; v's mask must hold the bit."""
+        h, kids, mask = self.h, self.kids, self.mask
+        while h[v] < 0:
+            a, b = kids[v]
+            v = a if mask[a] & want else b
+        return v
 
     def first_two(self, m):
         """The first two saturated vertices x, y of exponent m in canonical
         preorder (there must be two) and the :func:`_nesting` of their
-        parents.  When the walk finds x, y is the entry e on top of its
-        stack or lies below e: -1 if y is e, 1 if e is x's sibling, else 0."""
-        h, kids, mask, par = self.h, self.kids, self.mask, self._parents
-        want, x, stack = 1 << m, -1, [self.root]
+        parents.  y is the first below b, the second child of the lowest
+        ancestor p of x that reaches x through its first child and whose
+        b holds m: the nesting is -1 if y is b, 1 if p is x's parent, else
+        0."""
+        kids, mask, par, want = self.kids, self.mask, self._parents, 1 << m
+        x = c = self.first(self.root, want)
         while True:
-            v = stack.pop()
-            if h[v] < 0:
-                a, b = kids[v]
-                if mask[b] & want:
-                    stack.append(b)
-                if mask[a] & want:
-                    stack.append(a)
-            elif x < 0:
-                x, e = v, stack[-1]
-            else:
-                return x, v, -1 if v == e else 1 if par[e] == par[x] else 0
+            p = par[c]
+            a, b = kids[p]
+            if a == c and mask[b] & want:
+                y = self.first(b, want)
+                return x, y, -1 if y == b else 1 if p == par[x] else 0
+            c = p
 
     def tree(self):
         """Hand the parent array over as a tree, unchecked: each rewire
@@ -531,7 +528,7 @@ def normalize_to_power_spine(tree):
     (ordering two children compares their subtrees only down to the first
     difference, in O(1) when both are complete or one is a leaf), and each
     merge group finds its two vertices and their nesting in O(depth) by
-    walking the stored order.  The result is handed over unchecked, as
+    descending the exponent masks.  The result is handed over unchecked, as
     every step checked its surgery.  Memory stays linear in the tree's
     order.  Raises GuardError if no switching rule accepts a pair, a step
     would lower security or the steps exceed a guard quadratic in the

@@ -188,6 +188,7 @@ def _top_down(par, root):
     order = [root]
     for v in order:
         order += kids[v]
+        kids[v] = ()  # free each list once read
     return order
 
 

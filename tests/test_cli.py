@@ -206,6 +206,12 @@ class TestCommands:
         code, out, _ = run(capsys, "rank", "--tree", FIG1, "--vertex", "0")
         assert code == 0 and out == "2\n"
 
+    @pytest.mark.parametrize("vertex", ["3", "-1"])
+    def test_rank_vertex_out_of_range(self, capsys, vertex):
+        code, out, err = run(capsys, "rank", "--tree", "(LL)", "--vertex", vertex)
+        assert (code, out) == (1, "")
+        assert err == f"treesec: error: vertex id {vertex} out of range\n"
+
     def test_protected(self, capsys):
         code, out, _ = run(capsys, "protected", "--tree", FIG1, "--level", "2")
         assert code == 0 and out == "2\n"

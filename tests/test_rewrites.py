@@ -9,6 +9,7 @@ from treesec import (
     RootedTree,
     SwitchContext,
     all_ranks,
+    binary_power_representation,
     build_binary_caterpillar,
     build_power_spine,
     canonical_form,
@@ -36,7 +37,7 @@ from treesec import (
 from treesec import rewrites
 from treesec.cli import main
 from treesec.rewrites import _pair_context, _rewire, _rule_edges
-from treesec.trees import _canonical
+from treesec.trees import _canonical, _preorder
 from oracles import (
     random_general,
     random_kary,
@@ -393,6 +394,10 @@ class TestSpineReinsert:
             spine_reinsert(t, ctx)
 
 
+# sha256 over every hoist step from random joins of distinct complete blocks
+HOIST_DIGEST = "cd95b6721f4c8ec2e11f7727910baa83fec7df1c8ab44b8cd80ba8a5f85adc89"
+
+
 class TestHoist:
     def test_worked_example(self):
         t = parse("((L(LL))((LL)(LL)))")
@@ -425,6 +430,30 @@ class TestHoist:
                     seen = security(nxt)
                     t = nxt
                 assert serialize(t, canonical=True) == target
+
+    def test_hoist_steps_are_pinned(self):
+        # blocks of distinct exponents joined at random, so every placement
+        # step runs on shapes the switching phase never hands over
+        complete = ["L"]
+        for _ in range(8):
+            complete.append(f"({complete[-1]}{complete[-1]})")
+        rng = random.Random(37)
+        digest, trees, steps = hashlib.sha256(), 0, 0
+        for leaves in range(1, 300):
+            for _ in range(3):
+                blocks = [complete[e] for e in binary_power_representation(leaves)]
+                while len(blocks) > 1:
+                    i, j = sorted(rng.sample(range(len(blocks)), 2))
+                    b, a = blocks.pop(j), blocks.pop(i)
+                    blocks.append(f"({a}{b})")
+                t = parse(blocks[0])
+                trees += 1
+                while (nxt := hoist_min_saturated(t)) is not t:
+                    digest.update(f"{nxt._parents!r}\n".encode())
+                    steps += 1
+                    t = nxt
+        assert (trees, steps) == (897, 1387)
+        assert digest.hexdigest() == HOIST_DIGEST
 
     def test_a_hoist_that_lowers_security_is_refused(self, monkeypatch):
         # turn ((LL)(LL)) (security 4) into (L(L(LL))) (security 3)
@@ -712,6 +741,34 @@ class TestArena:
                     c = nxt[c]
                 if kids:
                     assert arena.kids[v] == kids, serialize(t)
+
+    def test_first_is_the_first_saturated_vertex_in_canonical_preorder(self):
+        # against a scan of v's subtree: a slice of the canonical preorder
+        shapes = [t for leaves in range(1, 13) for t in enumerate_shapes(leaves)]
+        rng = random.Random(0xF125)
+        trees = shapes + [shuffled_copy(t, rng) for t in shapes]
+        trees += [random_proper_binary(300, rng) for _ in range(20)]
+        checks = 0
+        for t in trees:
+            arena = rewrites._Arena(t)
+            _, first, nxt = _canonical(t, t._order)
+            pre = list(_preorder(t.root, first, nxt))
+            pos = {v: i for i, v in enumerate(pre)}
+            size = [1] * len(t)
+            for v in reversed(t._order[1:]):
+                size[t._parents[v]] += size[v]
+            sat = dict(saturated_vertices(t))
+            complete = {x for s in sat for x in pre[pos[s] : pos[s] + size[s]]}
+            for v in pre:
+                if v != t.root and v in complete:
+                    continue
+                subtree = pre[pos[v] : pos[v] + size[v]]
+                for m in range(arena.mask[v].bit_length()):
+                    if arena.mask[v] >> m & 1:
+                        want = next(x for x in subtree if sat.get(x) == m)
+                        assert arena.first(v, 1 << m) == want, serialize(t)
+                        checks += 1
+        assert checks == 30352
 
     def test_repair_matches_a_fresh_arena_after_every_step(self, monkeypatch):
         rewire = rewrites._Arena.rewire
