@@ -169,13 +169,12 @@ def _refusal(rule, arena, ctx, nesting):
 def _rule_edges(rule, arena, ctx):
     """Edge surgery of a switching rule whose guard accepts the context on
     the arena: the three exchange rules swap the subtrees at u and w1,
-    spine_reinsert moves w0 up the root path."""
+    spine_reinsert moves w0 up the root path.  Every switching and hoist
+    surgery removes as many child edges from each parent as it adds, and
+    cuts no edge whose parent's subtree is complete: so outdegrees stay the
+    same, and complete subtrees move whole."""
     u, w, u0, w0, _, w1 = ctx
     if rule != "spine_reinsert":
-        if u0 == w0:
-            # u and w are siblings, so w's sibling is u itself and the
-            # exchange degenerates to the identity
-            return (), ()
         return ((u0, u), (w0, w1)), ((w0, u), (u0, w1))
     # climb the root path above u0 to the first vertex that w1 does not
     # outrank; w0 (keeping child w1) is spliced in below it, or becomes the
@@ -401,36 +400,32 @@ class _Arena:
     def _measure(self, order):
         """Recompute the measures and the canonical child order of the
         vertices in ``order``, which lists every vertex after its children,
-        and update the running security; one left childless is a leaf."""
+        and update the running security."""
         kids, rank, h = self.kids, self.rank, self.h
         mask, dup = self.mask, self.dup
         gain = 0
         for v in order:
-            k = kids[v]
             try:
-                a, b = k
+                a, b = k = kids[v]
             except ValueError:
-                if k:
-                    raise GuardError("tree is not proper binary") from None
-                kids[v], r, h[v], mask[v], dup[v] = (), 0, 0, 1, 0
+                raise GuardError("tree is not proper binary") from None
+            ha = h[a]
+            if ha >= 0 and ha == h[b]:  # a complete pair: rank = height
+                r = h[v] = ha + 1
+                mask[v], dup[v] = 2 << ha, 0
+                if a < b:
+                    k[0], k[1] = b, a
             else:
-                ha = h[a]
-                if ha >= 0 and ha == h[b]:  # a complete pair: rank = height
-                    r = h[v] = ha + 1
-                    mask[v], dup[v] = 2 << ha, 0
-                    if a < b:
-                        k[0], k[1] = b, a
-                else:
-                    h[v] = -1
-                    ma, mb = mask[a], mask[b]
-                    mask[v] = ma | mb
-                    dup[v] = dup[a] | dup[b] | (ma & mb)
-                    ra, rb = rank[a], rank[b]
-                    r = (ra if ra < rb else rb) + 1
-                    # the ranks decide most orders without a call
-                    c = ra - rb or _collate(kids, rank, h, a, b)
-                    if c > 0 or (c == 0 and a < b):
-                        k[0], k[1] = b, a
+                h[v] = -1
+                ma, mb = mask[a], mask[b]
+                mask[v] = ma | mb
+                dup[v] = dup[a] | dup[b] | (ma & mb)
+                ra, rb = rank[a], rank[b]
+                r = (ra if ra < rb else rb) + 1
+                # the ranks decide most orders without a call
+                c = ra - rb or _collate(kids, rank, h, a, b)
+                if c > 0 or (c == 0 and a < b):
+                    k[0], k[1] = b, a
             gain += r - rank[v]
             rank[v] = r
         self.security += gain
@@ -545,10 +540,9 @@ def normalize_to_power_spine(tree):
 
     h, par = arena.h, arena._parents
     while arena.dup[arena.root]:
-        repeated = arena.dup[arena.root].bit_length() - 1
-        x, y, nesting = arena.first_two(repeated)
+        x, y, nesting = arena.first_two(arena.dup[arena.root].bit_length() - 1)
         # distinct complete subtrees of one height are disjoint: neither is the root
-        while h[x] == h[y] == repeated and h[par[x]] < 0 and h[par[y]] < 0:
+        while h[par[x]] < 0 and h[par[y]] < 0:
             rule, ctx = _select_switch(arena, x, y, nesting)
             apply(rule, *_rule_edges(rule, arena, ctx))
             nesting = None  # climb if the pair is held for another switch

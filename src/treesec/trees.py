@@ -476,17 +476,15 @@ def classify(tree):
     """Classify a tree's shape.
 
     ``is_proper_binary``: every internal vertex has exactly two children.
-    ``is_complete_binary``: proper binary with all leaves at one depth and
-    2**height leaves.  ``outdegree_sequence`` is the sorted multiset of
-    children counts.
+    ``is_complete_binary``: proper binary with 2**height leaves, the most
+    its height allows, which puts every leaf at depth height.
+    ``outdegree_sequence`` is the sorted multiset of children counts.
     """
     deg = Counter(tree._parents)  # outdegrees; leaves are missing
-    depths = tree.depths()
-    height = max(depths)
+    height = max(tree.depths())
     leaves = [v for v in range(len(tree)) if not deg[v]]
     proper = all(deg[v] in (0, 2) for v in range(len(tree)))
-    leaf_depths = {depths[v] for v in leaves}
-    complete = proper and leaf_depths == {height} and len(leaves) == 1 << height
+    complete = proper and len(leaves) == 1 << height
     return ShapeReport(
         leaf_count=len(leaves),
         height=height,

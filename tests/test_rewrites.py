@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -251,11 +252,19 @@ class TestSwitchDisjoint:
         out = _rewire(t, *_rule_edges("switch_disjoint", rewrites._Arena(t), ctx))
         assert is_isomorphic(out, t) and security(out) == security(t)
 
-    def test_raw_formula_with_shared_parent_is_identity(self):
+    def test_raw_formula_with_shared_parent_is_refused(self):
+        # two saturated siblings of equal rank would make their parent
+        # complete, so no accepted context is a sibling pair; the raw edge
+        # formula cuts the edge to u twice
         t = parse("((LL)(LL))")
         ctx = SwitchContext.for_pair(t, 1, 4)  # siblings: u0 == w0
-        out = _rewire(t, *_rule_edges("switch_disjoint", rewrites._Arena(t), ctx))
-        assert serialize(out) == serialize(t)
+        with pytest.raises(GuardError) as err:
+            _rewire(t, *_rule_edges("switch_disjoint", rewrites._Arena(t), ctx))
+        assert str(err.value) == "edge (0, 1) is not present"
+        with pytest.raises(
+            GuardError, match="both switched vertices must be saturated"
+        ):
+            switch_disjoint(t, ctx)
 
     def test_a_switch_that_lowers_security_is_refused(self, monkeypatch):
         # turn ((L(LL))(L(LL))) (security 6) into ((L(L(L(LL))))L) (security 5)
@@ -574,6 +583,7 @@ class TestNormalize:
 # engine must reproduce exactly
 SHAPES_DIGEST = "947d1eb5db34fbb9b04a2df40edf9f10ef758ea0931a2a3a7a387adb141bccfc"
 RANDOM_DIGEST = "5fc3a9a2f22544b4ee43575eab25d2e1095b1fec7f3ee16fac2a6187624837ee"
+HELD_PAIR_DIGEST = "7fe1ffae3f3eff0e58452f058639a103dade23d4a74981aa6736cb4385b3079f"
 
 
 def _normalization_digest(trees):
@@ -605,6 +615,13 @@ class TestNormalizePinned:
     def test_seeded_random_trees(self):
         trees = _seeded_random_trees(20, 300, seed=0x7E5)
         assert _normalization_digest(trees) == RANDOM_DIGEST
+
+    def test_a_held_pair_is_switched_until_it_merges(self):
+        # searching the first two saturated vertices again after every switch
+        # takes 12 steps here, not 13, and leaves another trace
+        t = canonical_form(random_proper_binary(30, random.Random(884)))
+        assert len(normalize_to_power_spine(t)[1].steps) == 13
+        assert _normalization_digest([t]) == HELD_PAIR_DIGEST
 
     def test_replayed_traces_match(self):
         # replay every step through the validated, from-scratch surgery and
@@ -693,15 +710,40 @@ class TestArena:
             arena.rewire(((2, 4),), ((5, 4),))
         assert str(err.value) == "tree is not proper binary"
 
-    def test_surgery_that_empties_a_vertex_is_measured_exactly(self):
-        # both children of 2 move to leaf 5, so 2 is measured as a leaf
+    def test_surgery_that_empties_a_vertex_is_refused(self):
+        # both children of 2 move to leaf 5, which no rule surgery does
         arena = rewrites._Arena(parse("(((LL)L)L)"))
-        arena.rewire(((2, 3), (2, 4)), ((5, 3), (5, 4)))
-        assert arena.security == 3
-        fresh = rewrites._Arena(arena.tree())
-        for name in self.FIELDS:
-            assert getattr(arena, name) == getattr(fresh, name), name
-        _same_as_validated(arena.tree())
+        with pytest.raises(GuardError) as err:
+            arena.rewire(((2, 3), (2, 4)), ((5, 3), (5, 4)))
+        assert str(err.value) == "tree is not proper binary"
+
+    def test_every_rule_surgery_keeps_outdegrees_and_complete_subtrees(
+        self, monkeypatch
+    ):
+        # the invariant that lets the arena refuse a vertex left without two
+        # children: each parent loses as many child edges as it gains, and
+        # none of the cut edges hangs below a complete subtree
+        step, counts = rewrites._step, Counter()
+
+        def checked(arena, rule, removed, added):
+            assert Counter(p for p, _ in removed) == Counter(p for p, _ in added)
+            assert all(arena.h[p] < 0 for p, _ in removed)
+            counts[rule] += 1
+            return step(arena, rule, removed, added)
+
+        monkeypatch.setattr(rewrites, "_step", checked)
+        trees = [t for leaves in range(2, 13) for t in enumerate_shapes(leaves)]
+        for t in trees + _seeded_random_trees(60, 2000, seed=0x39):
+            normalize_to_power_spine(t)
+        normalized = sum(counts.values())
+        for t in (t for leaves in range(2, 11) for t in enumerate_shapes(leaves)):
+            guarded_applications(t)
+            vec = partition_vector(t)
+            if len(set(vec)) == len(vec):
+                while (nxt := hoist_min_saturated(t)) is not t:
+                    t = nxt
+        assert normalized == 36029
+        assert set(counts) == {*rewrites._RULES, "hoist_min_saturated"}
 
     def test_cyclic_surgery_is_refused(self):
         arena = rewrites._Arena(parse("(((LL)L)L)"))

@@ -18,6 +18,7 @@ from treesec import (
     canonical_order,
     classify,
     enumerate_kary_trees,
+    enumerate_shapes,
     is_isomorphic,
     parse,
     partition_vector,
@@ -462,6 +463,20 @@ class TestClassify:
     def test_single_vertex_is_complete(self):
         r = classify(parse("L"))
         assert r.height == 0 and r.is_complete_binary
+
+    def test_complete_means_every_leaf_at_full_depth(self):
+        # classify decides completeness by the leaf count alone; check it
+        # against the definition on every small binary and general shape
+        trees = [t for leaves in range(1, 15) for t in enumerate_shapes(leaves)]
+        trees += [t for n in range(1, 12) for t in enumerate_kary_trees(n)]
+        complete = 0
+        for t in trees:
+            r, depths = classify(t), t.depths()
+            leaf_depths = {depths[v] for v in range(len(t)) if t.is_leaf(v)}
+            want = r.is_proper_binary and leaf_depths == {r.height}
+            assert r.is_complete_binary == want, serialize(t)
+            complete += want
+        assert (len(trees), complete) == (7059, 7)
 
 
 class TestSaturated:
