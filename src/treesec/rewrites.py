@@ -329,13 +329,11 @@ class RewriteTrace(namedtuple("RewriteTrace", "steps")):
         return "\n".join(lines)
 
 
-def _select_switch(arena, x, y, nesting=None):
+def _select_switch(arena, x, y, nesting):
     """The first (rule, context) whose guard accepts a saturated pair of the
-    arena, taken unchecked: oriented (x, y) before (y, x), the rules in
-    :data:`_RULES` order.  Without the (x, y) ``nesting`` it climbs."""
+    arena, given the :func:`_nesting` of (x, y), taken unchecked: oriented
+    (x, y) before (y, x), the rules in :data:`_RULES` order."""
     ctx = _pair_context(arena._parents, arena.kids, x, y)
-    if nesting is None:
-        nesting = _nesting(arena, ctx)
     for _ in range(2):
         for rule in _RULES:
             if _refusal(rule, arena, ctx, nesting) is None:
@@ -541,11 +539,11 @@ def normalize_to_power_spine(tree):
     h, par = arena.h, arena._parents
     while arena.dup[arena.root]:
         x, y, nesting = arena.first_two(arena.dup[arena.root].bit_length() - 1)
-        # distinct complete subtrees of one height are disjoint: neither is the root
+        # distinct complete subtrees of one height are disjoint: neither is the root.
+        # An exchange merges the pair; a spine_reinsert that holds it keeps its nesting
         while h[par[x]] < 0 and h[par[y]] < 0:
             rule, ctx = _select_switch(arena, x, y, nesting)
             apply(rule, *_rule_edges(rule, arena, ctx))
-            nesting = None  # climb if the pair is held for another switch
 
     while (edges := _hoist_edges(arena)) is not None:
         apply("hoist_min_saturated", *edges)

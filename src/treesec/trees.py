@@ -373,8 +373,6 @@ def protected_count(tree, level):
     protected vertex.
     """
     _count(level, "level", 0)
-    if level == 0:
-        return len(tree)
     return sum(1 for r in all_ranks(tree) if r >= level)
 
 

@@ -547,6 +547,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--starlike", "3", "5")
         assert code == 1 and "error" in err and out == ""
 
+    def test_verify_with_no_check_is_one(self, capsys):
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (1, "")
+        assert err == (
+            "treesec: error: nothing to verify: pass --max-leaves, --kary or --starlike\n"
+        )
+
+    def test_a_closed_pipe_is_zero(self, capsys, monkeypatch):
+        # a reader that stops early (treesec enumerate ... | head) ends the
+        # listing quietly
+        writes = []
+
+        def closed(text):
+            writes.append(text)
+            raise BrokenPipeError
+
+        monkeypatch.setattr(sys.stdout, "write", closed)
+        assert main(["enumerate", "--leaves", "9"]) == 0
+        assert len(writes) == 1
+
     @pytest.mark.parametrize(
         "name,ran,message",
         [

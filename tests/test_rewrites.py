@@ -572,7 +572,10 @@ class TestNormalize:
                 group = sorted(
                     (v for v, m in sat if m == repeated), key=pos.__getitem__
                 )
-                rule, ctx = _select_switch(rewrites._Arena(t), group[0], group[1])
+                arena = rewrites._Arena(t)
+                pair = _pair_context(arena._parents, arena.kids, group[0], group[1])
+                nesting = rewrites._nesting(arena, pair)
+                rule, ctx = _select_switch(arena, group[0], group[1], nesting)
                 out = ops[rule](t, ctx)  # must not raise GuardError
                 assert security(out) >= security(t)
                 checked += 1
@@ -584,6 +587,12 @@ class TestNormalize:
 SHAPES_DIGEST = "947d1eb5db34fbb9b04a2df40edf9f10ef758ea0931a2a3a7a387adb141bccfc"
 RANDOM_DIGEST = "5fc3a9a2f22544b4ee43575eab25d2e1095b1fec7f3ee16fac2a6187624837ee"
 HELD_PAIR_DIGEST = "7fe1ffae3f3eff0e58452f058639a103dade23d4a74981aa6736cb4385b3079f"
+# a smallest tree whose normalization takes more than leaves + 1 steps: no
+# shape of 16 leaves or fewer does
+STEP_BOUND_BREAKER = "((LL)((LL)(L(L(L(L(L(L(L(L(L(L(L(LL))))))))))))))"
+STEP_BOUND_BREAKER_DIGEST = (
+    "5ffd1592bf405da28d4677479eb86bfd2a50f5d1d8bde9191209e47044ec14ca"
+)
 
 
 def _normalization_digest(trees):
@@ -622,6 +631,15 @@ class TestNormalizePinned:
         t = canonical_form(random_proper_binary(30, random.Random(884)))
         assert len(normalize_to_power_spine(t)[1].steps) == 13
         assert _normalization_digest([t]) == HELD_PAIR_DIGEST
+
+    def test_a_pair_held_through_nine_spine_reinserts(self):
+        # 17 leaves, 19 steps: over the leaves + 1 bound
+        t = parse(STEP_BOUND_BREAKER)
+        assert serialize(t, canonical=True) == STEP_BOUND_BREAKER
+        steps = normalize_to_power_spine(t)[1].steps
+        assert (t.leaf_count(), len(steps)) == (17, 19)
+        assert Counter(s.rule for s in steps)["spine_reinsert"] == 9
+        assert _normalization_digest([t]) == STEP_BOUND_BREAKER_DIGEST
 
     def test_replayed_traces_match(self):
         # replay every step through the validated, from-scratch surgery and
@@ -831,41 +849,29 @@ class TestArena:
             normalize_to_power_spine(tree)
         assert seen["three_edge"] and seen["new_root"]
 
-    def test_nesting_is_read_off_the_pair_search(self, monkeypatch):
-        # every nesting the search returns is the one climbing finds, and
-        # only a repeated switch of a held pair climbs
-        first_two, select, nesting = (
-            rewrites._Arena.first_two,
-            rewrites._select_switch,
-            rewrites._nesting,
-        )
-        seen = {"searches": 0, "repeats": 0, "climbs": 0}
+    def test_a_held_pair_keeps_its_nesting(self, monkeypatch):
+        # an exchange merges the pair and a spine_reinsert that holds it keeps
+        # its nesting, so the nesting read off the search serves every switch
+        # of the pair and normalization never climbs
+        select, nesting = rewrites._select_switch, rewrites._nesting
+        seen = {"pairs": 0, "repeats": 0, "last": None}
 
-        def checked_first_two(arena, m):
-            x, y, found = first_two(arena, m)
+        def checked_select(arena, x, y, given):
             ctx = rewrites._pair_context(arena._parents, arena.kids, x, y)
-            assert found == nesting(arena, ctx)
-            seen["searches"] += 1
-            return x, y, found
+            assert given == nesting(arena, ctx)
+            seen["repeats" if seen["last"] == (x, y) else "pairs"] += 1
+            seen["last"] = (x, y)
+            return select(arena, x, y, given)
 
         def climbing(tree, ctx):
-            seen["climbs"] += 1
-            return nesting(tree, ctx)
+            raise AssertionError("normalization climbed")
 
-        def counted_select(arena, x, y, given=None):
-            climbs = seen["climbs"]
-            out = select(arena, x, y, given)
-            assert seen["climbs"] == climbs + (given is None)
-            seen["repeats"] += given is None
-            return out
-
-        monkeypatch.setattr(rewrites._Arena, "first_two", checked_first_two)
+        monkeypatch.setattr(rewrites, "_select_switch", checked_select)
         monkeypatch.setattr(rewrites, "_nesting", climbing)
-        monkeypatch.setattr(rewrites, "_select_switch", counted_select)
-        for tree in _handover_trees():
+        for tree in _handover_trees() + [parse(STEP_BOUND_BREAKER)]:
+            seen["last"] = None
             normalize_to_power_spine(tree)
-        assert seen["searches"] and seen["repeats"]
-        assert seen["climbs"] == seen["repeats"]
+        assert seen["pairs"] and seen["repeats"]
 
     def test_handed_over_trees_read_as_validated_ones(self):
         # the rewrites hand over the arena's tree unchecked
