@@ -373,7 +373,7 @@ class _Arena:
     in a list in canonical order (ascending canonical text, the higher id
     first between equal texts, as in :func:`canonical_order`; leaves share
     the empty tuple; ``trees._kid_lists`` builds them from the input, and
-    :meth:`tree` hands over the order of ``trees._top_down``), and, per vertex,
+    :meth:`tree` walks them with ``trees._top_down`` in id order), and, per vertex,
     the rank, the complete height (-1 unless the subtree is complete binary)
     and two bitmasks of the exponents of the saturated vertices in the
     subtree (``mask``: those present, ``dup``: those present at least
@@ -408,11 +408,9 @@ class _Arena:
             except ValueError:
                 raise GuardError("tree is not proper binary") from None
             ha = h[a]
-            if ha >= 0 and ha == h[b]:  # a complete pair: rank = height
+            if ha >= 0 and ha == h[b]:  # a complete pair: rank = height, equal texts
                 r = h[v] = ha + 1
-                mask[v], dup[v] = 2 << ha, 0
-                if a < b:
-                    k[0], k[1] = b, a
+                mask[v], dup[v], c = 2 << ha, 0, 0
             else:
                 h[v] = -1
                 ma, mb = mask[a], mask[b]
@@ -422,8 +420,8 @@ class _Arena:
                 r = (ra if ra < rb else rb) + 1
                 # the ranks decide most orders without a call
                 c = ra - rb or _collate(kids, rank, h, a, b)
-                if c > 0 or (c == 0 and a < b):
-                    k[0], k[1] = b, a
+            if c > 0 or (c == 0 and a < b):  # the higher id first between equal texts
+                k[0], k[1] = b, a
             gain += r - rank[v]
             rank[v] = r
         self.security += gain
@@ -486,9 +484,11 @@ class _Arena:
             c = p
 
     def tree(self):
-        """Hand the parent array over as a tree, unchecked: each rewire
-        checked its surgery."""
-        return RootedTree._make(self._parents, self.root, _top_down(self._parents, self.root))
+        """Hand the tree over unchecked, as each rewire checked its surgery:
+        walk the child pairs sorted into id order in place, spending them."""
+        for k in filter(None, self.kids):
+            k.sort()
+        return RootedTree._make(self._parents, self.root, _top_down(self.kids, self.root))
 
 
 def _step(arena, rule, removed, added):

@@ -86,7 +86,7 @@ class RootedTree:
         if all(parents[i] < i for i in range(n)):
             self._order = range(n)
         else:  # the reachability check's breadth-first order is kept
-            self._order = _top_down(parents, self._root)
+            self._order = _top_down(_kid_lists(parents, range(n))[0], self._root)
             if len(self._order) != n:
                 raise GuardError("parent links contain a cycle or unreachable vertices")
 
@@ -169,7 +169,7 @@ def _vertex(tree, v):
 def _kid_lists(par, order):
     """Each internal vertex's children as a list in ``order``'s order, every
     leaf sharing ``()``, and the internal vertices in the order their first
-    child was met."""
+    child was met: the only derivation of child lists from a parent array."""
     kids, internal = [()] * len(par), []
     for v in order:
         p = par[v]
@@ -182,13 +182,13 @@ def _kid_lists(par, order):
     return kids, internal
 
 
-def _top_down(par, root):
-    """What ``root`` reaches, breadth first, siblings by increasing id."""
-    kids = _kid_lists(par, range(len(par)))[0]
+def _top_down(kids, root):
+    """What ``root`` reaches, breadth first, siblings in ``kids`` order; it
+    only walks, dropping each child list once read."""
     order = [root]
     for v in order:
         order += kids[v]
-        kids[v] = ()  # free each list once read
+        kids[v] = ()
     return order
 
 
@@ -262,8 +262,7 @@ def serialize(tree, canonical=False):
 
 def read_tree(text):
     """Parse a tree given either as parenthesis text or as JSON."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip(_WHITESPACE).startswith("{"):  # past the whitespace parse skips
         import json
 
         try:

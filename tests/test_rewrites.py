@@ -38,7 +38,7 @@ from treesec import (
 from treesec import rewrites
 from treesec.cli import main
 from treesec.rewrites import _pair_context, _rewire, _rule_edges
-from treesec.trees import _canonical, _preorder
+from treesec.trees import _canonical, _kid_lists, _preorder
 from oracles import (
     random_general,
     random_kary,
@@ -885,6 +885,30 @@ class TestArena:
                     _same_as_validated(out)
                 if len(set(partition_vector(t))) == len(partition_vector(t)):
                     _same_as_validated(hoist_min_saturated(t))
+
+    def test_one_derivation_of_child_lists_per_rewrite(self, monkeypatch):
+        # the arena derives its child lists once, from its input, and hands
+        # its tree over by walking those lists: no handover rebuilds them
+        spine_input = random_proper_binary(300, random.Random(0x4E5))
+        pair = parse("((L(LL))(L(LL)))")
+        ctx = SwitchContext.for_pair(pair, 2, 7)
+        unhoisted = parse("((LL)(L((LL)(LL))))")
+        calls = Counter()
+        for module in ("treesec.trees", "treesec.rewrites"):
+
+            def counted(par, order, module=module):
+                calls[module] += 1
+                return _kid_lists(par, order)
+
+            monkeypatch.setattr(f"{module}._kid_lists", counted)
+        for tree, rewrite in [
+            (spine_input, lambda t: normalize_to_power_spine(t)[0]),
+            (pair, lambda t: switch_disjoint(t, ctx)),
+            (unhoisted, hoist_min_saturated),
+        ]:
+            calls.clear()
+            assert rewrite(tree) is not tree
+            assert calls == {"treesec.rewrites": 1}
 
     def test_normalization_builds_no_child_tuples_on_its_input(self):
         t = parse(serialize(random_proper_binary(300, random.Random(0x4E5))))

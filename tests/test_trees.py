@@ -130,6 +130,13 @@ class TestJson:
         obj = tree_to_json(parse("(L(LL))"))
         assert is_isomorphic(read_tree(json.dumps(obj)), parse("(L(LL))"))
 
+    # the JSON sniff skips only the whitespace that parse skips
+    @pytest.mark.parametrize("text", ['\xa0{"children": []}', "\xa0(LL)"], ids=["json", "text"])
+    def test_read_tree_reports_a_leading_stray_character(self, text):
+        with pytest.raises(ParseError) as err:
+            read_tree(text)
+        assert str(err.value) == "stray character '\\xa0' (at offset 0)"
+
     def test_bad_schema(self):
         with pytest.raises(ParseError):
             tree_from_json({"kids": []})
