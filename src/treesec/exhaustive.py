@@ -24,15 +24,15 @@ plus rank exceeds 36 + 4), and measuring makes no key.  :func:`_bkeys`
 runs the same walk over keys, and only the functions that output shapes
 run it.  Every subtree of a maximizer is best in its class, so
 :func:`maximizer_shapes` makes keys only for the best shapes of each
-class; :func:`_bshapes` grows the class bests beside the bytes, as exact
-bounds, and confirms each on the bytes.  A key is the canonical text in
-the collation keys of ``trees`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
+class; :func:`_bshapes` reads each class best off its bytes after the walk,
+so every best is a measured security.  A key is the canonical text in the
+collation keys of ``trees`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
 hexadecimal digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` digits,
-the longest text the guard admits.  Canonical texts are prefix-free, so
-integer order is canonical order, and an a-leaf text has 3a - 2
-characters, so ``(AB)`` is
-``OPEN + (key(A) >> 4) + (key(B) >> 4 * (3a - 1))`` with ``OPEN`` the
-digit 2 in the top place.
+the longest text the guard admits; its top digit is never 0, so a text is
+its key's hex form, shifted.  Canonical texts are prefix-free, so integer
+order is canonical order, and an a-leaf text has 3a - 2 characters, so
+``(AB)`` is ``OPEN + (key(A) >> 4) + (key(B) >> 4 * (3a - 1))`` with
+``OPEN`` the digit 2 in the top place.
 
 A bounded-outdegree shape is ``(canon, root_rank, max_rank, degree)``:
 ``canon`` is the canonical text in that collation, as a string unique within
@@ -107,25 +107,24 @@ def _bshapes(leaves):
     """The securities of levels 1..``leaves`` and their class bests, built
     for this call: ``secs[n][r]`` holds one byte per n-leaf shape of root
     rank r, and ``best[n][r]`` is their best security, or -1 where there
-    are none.  A pair of the best shapes of two nonempty classes is best in
-    its own class, so the walk gives each best as an exact bound; each is
-    then read off the enumerated bytes, stepping down while it is absent."""
+    are none.  Each best is read off the enumerated bytes, stepping down
+    from 2n, which no n-leaf shape reaches: a vertex of rank >= j has two
+    children of rank >= j - 1, so such vertices at least halve per level."""
     # shifts[c] adds c to a byte (mod 256, which no stored security nears),
     # so the securities of x's pairs are one translate of its partners'
     ring = bytes(range(256)) * 2
     shifts = [ring[c : c + 256] for c in range(256)]
-    secs, best = [None, [bytearray(1)]], [None, [0]]
-    for n, a, rx, b, ry, rank in _class_pairs(leaves, secs, best):
+    secs = [None, [bytearray(1)]]
+    for n, a, rx, b, ry, rank in _class_pairs(leaves, secs):
         xs, ys, out = secs[a][rx], secs[b][ry], secs[n][rank]
         if not (xs and ys):
             continue
-        best[n][rank] = max(best[n][rank], best[a][rx] + best[b][ry] + rank)
         for i, sx in enumerate(xs):
             out += ys[i if xs is ys else 0 :].translate(shifts[sx + rank])
-    for level, groups in zip(best[1:], secs[1:]):
-        for r, group in enumerate(groups):
-            while level[r] >= 0 and level[r] not in group:
-                level[r] -= 1
+    best = [None]
+    for n, level in enumerate(secs[1:], 1):
+        down = range(2 * n, -1, -1)
+        best.append([next((s for s in down if s in group), -1) for group in level])
     return secs, best
 
 
@@ -157,10 +156,9 @@ def _text_blocks(keys, leaves):
     """The canonical texts of the ``leaves``-leaf ``keys``, sorted, in
     blocks of ``_TEXT_BLOCK`` texts joined by newlines.  A text is its key's
     top 3 * ``leaves`` - 2 hex digits, and each block is translated at once."""
-    cut = 3 * leaves - 2
-    shift, digits = 4 * (3 * MAX_ENUM_LEAVES - 2 - cut), f"0{cut}x"
+    shift = 12 * (MAX_ENUM_LEAVES - leaves)
     keys = iter(sorted(keys))
-    while block := [format(key >> shift, digits) for key in islice(keys, _TEXT_BLOCK)]:
+    while block := ["%x" % (key >> shift) for key in islice(keys, _TEXT_BLOCK)]:
         yield "\n".join(block).translate(_KEY_TEXT)
 
 

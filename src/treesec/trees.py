@@ -262,13 +262,14 @@ def serialize(tree, canonical=False):
 
 def read_tree(text):
     """Parse a tree given either as parenthesis text or as JSON."""
-    if text.lstrip(_WHITESPACE).startswith("{"):  # past the whitespace parse skips
+    lead = len(text) - len(text.lstrip(_WHITESPACE))  # the whitespace parse skips
+    if text.startswith("{", lead):
         import json
 
-        try:
-            obj = json.loads(text)
+        try:  # json.loads skips only some of that whitespace
+            obj = json.loads(text[lead:].rstrip(_WHITESPACE))
         except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+            raise ParseError(f"invalid JSON: {e.msg}", lead + e.pos) from None
         except ValueError:  # an integer longer than int() converts
             raise SizeError("JSON integer over the digit limit") from None
         except RecursionError:

@@ -191,7 +191,8 @@ class TestClassPairs:
         [
             (lambda: brute_force_extremes(22).maximizer_count == 9, 1),
             (lambda: main(["verify", "--max-leaves", "22"]) == 0, 1),
-            # the bytes with their class bests, then the best-in-class keys
+            # the bytes, whose class bests are read off them, then the
+            # best-in-class keys
             (lambda: sum(1 for _ in maximizer_shapes(22)) == 9, 2),
         ],
         ids=["brute_force_extremes", "verify", "maximizer_shapes"],
@@ -300,6 +301,9 @@ class TestBestInClass:
         want = [[max(group, default=-1) for group in level] for level in secs[1:]]
         assert best[1:] == want
         assert sum(map(len, want)) == 84
+        # the bound the scan for each best steps down from
+        for n, level in enumerate(want, 1):
+            assert all(top < 2 * n for top in level), n
 
     def test_maximizer_counts_equal_the_byte_counts(self):
         for row in map(brute_force_extremes, range(1, exhaustive.MAX_ENUM_LEAVES + 1)):

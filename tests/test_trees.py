@@ -137,6 +137,25 @@ class TestJson:
             read_tree(text)
         assert str(err.value) == "stray character '\\xa0' (at offset 0)"
 
+    # json.loads rejects the \x0b and \x0c that parse and the sniff skip
+    @pytest.mark.parametrize(
+        "text",
+        ['\x0c{"children": []}', '\x0b{"children": []}', '{"children": []}\x0c'],
+        ids=["leading-ff", "leading-vt", "trailing-ff"],
+    )
+    def test_read_tree_skips_all_of_parse_whitespace(self, text):
+        assert serialize(read_tree(text)) == "L"
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [('\x0c{"children": [}', 15), (' \x0b{"children": [}\x0c ', 16)],
+        ids=["leading-ff", "both-ends"],
+    )
+    def test_read_tree_reports_json_offsets_in_the_given_text(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            read_tree(text)
+        assert str(err.value) == f"invalid JSON: Expecting value (at offset {offset})"
+
     def test_bad_schema(self):
         with pytest.raises(ParseError):
             tree_from_json({"kids": []})
