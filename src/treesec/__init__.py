@@ -8,6 +8,13 @@ for rooted trees, with exhaustive brute-force verification at desk scale."""
 _MODULES = ("builders", "errors", "exhaustive", "formulas", "rewrites", "trees")
 _SUBMODULES = {*_MODULES, "cli"}
 
+# Collation keys of the canonical text, for trees and exhaustive alike, kept
+# here because every process loads the package: at every position a closed
+# group beats a leaf beats an opening group, so leaves come first and smaller
+# subtrees precede larger ones with a common prefix.
+_CLOSE_KEY, _LEAF_KEY, _OPEN_KEY = "0", "1", "2"
+_KEY_TEXT = str.maketrans("012", ")L(")
+
 __version__ = "0.1.0"
 
 

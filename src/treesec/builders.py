@@ -8,6 +8,7 @@ scale the arena representation can actually hold.
 from itertools import chain
 
 from .errors import GuardError, _count
+from .formulas import LEAF_RANGE
 from .trees import RootedTree
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
 MAX_LEAVES = 1 << 25
 MAX_COMPLETE_HEIGHT = MAX_LEAVES.bit_length() - 1
 MAX_ORDER = 2 * MAX_LEAVES
-LEAF_RANGE = 1 << 30
 
 
 def binary_power_representation(leaves):

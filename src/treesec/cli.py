@@ -8,9 +8,10 @@ byte-deterministic for fixed inputs.
 import argparse
 import sys
 
-# every census command needs these two; builders, formulas and rewrites are
-# imported by the commands that use them, so no other command compiles them
-from . import exhaustive, trees
+# table and enumerate load only exhaustive besides errors; trees, builders,
+# formulas and rewrites are imported inside the commands that use them, so
+# no command compiles a module it does not run
+from . import exhaustive
 from .errors import GuardError, ParseError, SizeError, _count
 
 __all__ = ["main"]
@@ -25,6 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_tree_arg(args):
+    from . import trees
+
     if args.tree is not None:
         text = args.tree
     elif args.file == "-":
@@ -37,74 +40,6 @@ def _read_tree_arg(args):
             reason = getattr(e, "strerror", e)  # an OSError's text repeats the path
             raise GuardError(f"cannot read {args.file}: {reason}") from None
     return trees.read_tree(text)
-
-
-def _build_parser():
-    parser = _Parser(prog="treesec", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name, run, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        return p
-
-    def tree_command(name, run, help):
-        p = command(name, run, help)
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--tree", help="tree text (parenthesis or JSON)")
-        g.add_argument("--file", help="read the tree from this path ('-' = stdin)")
-        return p
-
-    p = command("build", _cmd_build, "construct a named tree family")
-    p.add_argument("--family", required=True, choices=list(_FAMILIES))
-    p.add_argument("--leaves", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--order", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--arms", help="comma-separated arm lengths")
-
-    p = tree_command("rank", _cmd_rank, "vertex ranks (canonical preorder indices)")
-    p.add_argument("--vertex", type=int, help="canonical preorder index")
-
-    tree_command("security", _cmd_security, "sum of all vertex ranks")
-
-    p = tree_command("protected", _cmd_protected, "count vertices of rank >= level")
-    p.add_argument("--level", type=int, required=True)
-
-    tree_command("partition", _cmd_partition, "saturated-subtree exponents")
-
-    p = tree_command(
-        "normalize", _cmd_normalize, "rewrite into the maximal spine shape"
-    )
-    p.add_argument("--trace", action="store_true", help="print the rewrite log")
-
-    p = tree_command("flip", _cmd_flip, "security-preserving spine reshuffle")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--variant", type=int, required=True, choices=[1, 2])
-
-    p = command(
-        "enumerate", _cmd_enumerate, "all proper binary shapes for a leaf count"
-    )
-    p.add_argument("--leaves", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-
-    p = command("verify", _cmd_verify, "check closed forms against brute force")
-    p.add_argument("--max-leaves", type=int)
-    p.add_argument(
-        "--kary", nargs=2, type=int, metavar=("N", "K"), help="root-rank check"
-    )
-    p.add_argument(
-        "--starlike", nargs=2, type=int, metavar=("N", "K"), help="root-rank check"
-    )
-
-    p = command("table", _cmd_table, "security census as TSV")
-    p.add_argument("--max-leaves", type=int, required=True)
-
-    p = tree_command("export", _cmd_export, "emit DOT or JSON")
-    p.add_argument("--format", required=True, choices=["dot", "json"])
-    p.add_argument("--ranks", action="store_true", help="label vertices with ranks")
-
-    return parser
 
 
 # each family's builder in treesec.builders and the flags it reads, in
@@ -120,7 +55,7 @@ _FAMILIES = {
 
 
 def _cmd_build(args, out):
-    from . import builders
+    from . import builders, trees
 
     name, flags = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
@@ -137,6 +72,8 @@ def _cmd_build(args, out):
 
 
 def _cmd_rank(args, out):
+    from . import trees
+
     tree = trees.canonical_form(_read_tree_arg(args))
     ranks = trees.all_ranks(tree)
     if args.vertex is not None:
@@ -147,20 +84,26 @@ def _cmd_rank(args, out):
 
 
 def _cmd_security(args, out):
+    from . import trees
+
     out.write(f"{trees.security(_read_tree_arg(args))}\n")
 
 
 def _cmd_protected(args, out):
+    from . import trees
+
     out.write(f"{trees.protected_count(_read_tree_arg(args), args.level)}\n")
 
 
 def _cmd_partition(args, out):
+    from . import trees
+
     vec = trees.partition_vector(_read_tree_arg(args))
     out.write(" ".join(str(m) for m in vec) + "\n")
 
 
 def _cmd_normalize(args, out):
-    from . import rewrites
+    from . import rewrites, trees
 
     tree = trees.canonical_form(_read_tree_arg(args))
     result, trace = rewrites.normalize_to_power_spine(tree)
@@ -170,17 +113,18 @@ def _cmd_normalize(args, out):
 
 
 def _cmd_flip(args, out):
-    from . import rewrites
+    from . import rewrites, trees
 
     flipped = rewrites.flip_adjacent(_read_tree_arg(args), args.index, args.variant)
     out.write(trees.serialize(flipped, canonical=True) + "\n")
 
 
 def _cmd_enumerate(args, out):
+    leaves = _count(args.leaves, "--leaves", 1, exhaustive.MAX_ENUM_LEAVES)
     if args.count_only:
-        out.write(f"{exhaustive.count_shapes(args.leaves)}\n")
+        out.write(f"{exhaustive.count_shapes(leaves)}\n")
     else:
-        for block in exhaustive._shape_blocks(args.leaves):
+        for block in exhaustive._shape_blocks(leaves):
             out.write(block + "\n")
 
 
@@ -244,10 +188,12 @@ def _cmd_verify(args, out):
 
 def _cmd_table(args, out):
     top = _count(args.max_leaves, "--max-leaves", 1, exhaustive.MAX_ENUM_LEAVES)
-    out.write(exhaustive.census_tsv(exhaustive.census_table(top)))
+    out.write(exhaustive.census_tsv(exhaustive._census_counts(top)))
 
 
 def _cmd_export(args, out):
+    from . import trees
+
     tree = _read_tree_arg(args)
     if args.format == "dot":
         out.write(trees.export_dot(tree, annotate="ranks" if args.ranks else "none"))
@@ -261,8 +207,118 @@ def _cmd_export(args, out):
         out.write(text + "\n")
 
 
+def _build_parser(argv):
+    """The parser of ``argv``.  When ``argv`` starts with a command name it
+    holds that command's subparser alone, and the metavar that lists every
+    command keeps the main usage as it reads with all of them."""
+    parser = _Parser(prog="treesec", description=__doc__)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=_Parser,
+        metavar=None if named is _COMMANDS else "{%s}" % ",".join(_COMMANDS),
+    )
+    for name in named:
+        run, help, reads_tree, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if reads_tree:
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--tree", help="tree text (parenthesis or JSON)")
+            g.add_argument("--file", help="read the tree from this path ('-' = stdin)")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+    return parser
+
+
+_ROOT_RANK_CHECK = dict(nargs=2, type=int, metavar=("N", "K"), help="root-rank check")
+# each command's function, its help, whether it reads a tree (--tree or
+# --file) and its own flags with their add_argument options, in usage order
+_COMMANDS = {
+    "build": (
+        _cmd_build,
+        "construct a named tree family",
+        False,
+        [
+            ("--family", dict(required=True, choices=list(_FAMILIES))),
+            ("--leaves", dict(type=int)),
+            ("--height", dict(type=int)),
+            ("--order", dict(type=int)),
+            ("--k", dict(type=int)),
+            ("--arms", dict(help="comma-separated arm lengths")),
+        ],
+    ),
+    "rank": (
+        _cmd_rank,
+        "vertex ranks (canonical preorder indices)",
+        True,
+        [("--vertex", dict(type=int, help="canonical preorder index"))],
+    ),
+    "security": (_cmd_security, "sum of all vertex ranks", True, []),
+    "protected": (
+        _cmd_protected,
+        "count vertices of rank >= level",
+        True,
+        [("--level", dict(type=int, required=True))],
+    ),
+    "partition": (_cmd_partition, "saturated-subtree exponents", True, []),
+    "normalize": (
+        _cmd_normalize,
+        "rewrite into the maximal spine shape",
+        True,
+        [("--trace", dict(action="store_true", help="print the rewrite log"))],
+    ),
+    "flip": (
+        _cmd_flip,
+        "security-preserving spine reshuffle",
+        True,
+        [
+            ("--index", dict(type=int, required=True)),
+            ("--variant", dict(type=int, required=True, choices=[1, 2])),
+        ],
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "all proper binary shapes for a leaf count",
+        False,
+        [
+            ("--leaves", dict(type=int, required=True)),
+            ("--count-only", dict(action="store_true")),
+        ],
+    ),
+    "verify": (
+        _cmd_verify,
+        "check closed forms against brute force",
+        False,
+        [
+            ("--max-leaves", dict(type=int)),
+            ("--kary", _ROOT_RANK_CHECK),
+            ("--starlike", _ROOT_RANK_CHECK),
+        ],
+    ),
+    "table": (
+        _cmd_table,
+        "security census as TSV",
+        False,
+        [("--max-leaves", dict(type=int, required=True))],
+    ),
+    "export": (
+        _cmd_export,
+        "emit DOT or JSON",
+        True,
+        [
+            ("--format", dict(required=True, choices=["dot", "json"])),
+            ("--ranks", dict(action="store_true", help="label vertices with ranks")),
+        ],
+    ),
+}
+
+
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         args.run(args, sys.stdout)

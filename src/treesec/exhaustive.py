@@ -26,7 +26,7 @@ run it.  Every subtree of a maximizer is best in its class, so
 :func:`maximizer_shapes` makes keys only for the best shapes of each
 class; :func:`_bshapes` reads each class best off its bytes after the walk,
 so every best is a measured security.  A key is the canonical text in the
-collation keys of ``trees`` (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
+collation keys of the package (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
 hexadecimal digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` digits,
 the longest text the guard admits; its top digit is never 0, so a text is
 its key's hex form, shifted.  Canonical texts are prefix-free, so integer
@@ -43,11 +43,12 @@ The census counts come from :func:`_shape_classes`, a recurrence that runs
 the same walk on counts: ``classes[n][r]`` is ``{security: count}`` over
 the n-leaf shapes of root rank r, indexed as ``secs[n][r]`` is, and it
 takes nothing from :mod:`treesec.formulas`.  :func:`count_shapes` and
-:func:`census_table` read it.  ``verify`` and every function that yields
-shapes measure the enumeration instead, so enumeration stays the oracle
-for the closed forms and the recurrence.  No table outlives its call.
-Each check runs on one build: ``verify`` reads the class bests of one
-:func:`_bshapes` build for all its leaf counts, and
+:func:`census_table` read it, the latter through :func:`_census_counts`,
+whose counts the CLI's ``table`` renders without making a row.  ``verify``
+and every function that yields shapes measure the enumeration instead, so
+enumeration stays the oracle for the closed forms and the recurrence.  No
+table outlives its call.  Each check runs on one build: ``verify`` reads the
+class bests of one :func:`_bshapes` build for all its leaf counts, and
 :func:`_root_rank_rows` measures all the orders of one root-rank check on
 one :func:`_kshapes` build.
 """
@@ -55,8 +56,8 @@ one :func:`_kshapes` build.
 from collections import Counter, namedtuple
 from itertools import chain, combinations_with_replacement, islice
 
+from . import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY
 from .errors import GuardError, SizeError, _count
-from .trees import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY, parse
 
 __all__ = [
     "ShapeCensus",
@@ -164,6 +165,8 @@ def _text_blocks(keys, leaves):
 
 def _parsed(blocks):
     """The trees of the texts of ``blocks``, one by one."""
+    from .trees import parse
+
     for block in blocks:
         for text in block.split("\n"):
             yield parse(text)
@@ -249,27 +252,31 @@ def maximizer_shapes(leaves):
     yield from _parsed(_text_blocks(found, leaves))
 
 
-def census_table(max_leaves):
-    """One census row per leaf count in [1, max_leaves]."""
-    rows = []
+def _census_counts(max_leaves):
+    """``(leaves, shapes, max_security, maximizers)`` per leaf count in
+    [1, max_leaves]: a census row without its fraction."""
+    counts = []
     for leaves, level in enumerate(_shape_classes(max_leaves)[1:], 1):
         by_security = Counter()
         for group in level:
             by_security.update(group)
         best = max(by_security)
-        rows.append(_census_row(leaves, by_security.total(), best, by_security[best]))
-    return rows
+        counts.append((leaves, by_security.total(), best, by_security[best]))
+    return counts
+
+
+def census_table(max_leaves):
+    """One census row per leaf count in [1, max_leaves]."""
+    return [_census_row(*counts) for counts in _census_counts(max_leaves)]
 
 
 def census_tsv(rows):
-    """Render census rows as TSV; fractions stay exact (no floating point)."""
+    """Render census rows as TSV; fractions stay exact (no floating point).
+    Only a row's first four fields are read, so :func:`_census_counts`
+    renders as the rows made from it do."""
     lines = ["leaves\tshapes\tmax_security\tmaximizers\tfraction"]
-    for r in rows:
-        frac = f"{r.maximizer_count}/{r.total_shapes}"
-        lines.append(
-            f"{r.leaf_count}\t{r.total_shapes}\t{r.max_security}"
-            f"\t{r.maximizer_count}\t{frac}"
-        )
+    for leaves, total, best, count, *_ in rows:
+        lines.append(f"{leaves}\t{total}\t{best}\t{count}\t{count}/{total}")
     return "\n".join(lines) + "\n"
 
 
@@ -338,6 +345,8 @@ def enumerate_kary_trees(n, k=None, proper=False):
     With ``proper=True`` (requires k), only trees whose outdegrees are all 0
     or exactly k are yielded; for some orders this class is empty.
     """
+    from .trees import parse
+
     _kary_guard(n, k, proper)
     for shape in sorted(_kshapes(n, k, proper)[n]):
         yield parse(shape[0].translate(_KEY_TEXT))

@@ -6,7 +6,6 @@ repeated multiplication); no floating point is involved anywhere.
 
 from collections import namedtuple
 
-from .builders import LEAF_RANGE, binary_power_representation
 from .errors import _count
 
 __all__ = [
@@ -21,6 +20,9 @@ __all__ = [
     "max_root_rank_starlike",
     "max_root_rank_kary",
 ]
+
+# the leaf counts the closed forms and binary power representations accept
+LEAF_RANGE = 1 << 30
 
 
 def floor_log2(x):
@@ -60,12 +62,13 @@ def max_security(leaves):
 
 def power_spine_security(leaves):
     """Security of the power-spine tree in closed form: 2*leaves - n1 - k - 1
-    where (n1, ..., nk) is the binary power representation of ``leaves``.
+    where (n1, ..., nk) is the binary power representation of ``leaves``,
+    so n1 is the place of its top bit and k the number of its set bits.
 
     Identical to :func:`max_security` for every leaf count.
     """
-    rep = binary_power_representation(leaves)
-    return 2 * leaves - rep[0] - len(rep) - 1
+    _count(leaves, "leaf count", 1, LEAF_RANGE)
+    return 2 * leaves - (leaves.bit_length() - 1) - leaves.bit_count() - 1
 
 
 def complete_binary_security(height):

@@ -22,6 +22,7 @@ ignored; any other stray character is a parse error.  A JSON form
 
 from collections import Counter, namedtuple
 
+from . import _CLOSE_KEY, _KEY_TEXT, _LEAF_KEY, _OPEN_KEY
 from .errors import GuardError, ParseError, SizeError, _count
 
 __all__ = [
@@ -374,13 +375,6 @@ def protected_count(tree, level):
     """
     _count(level, "level", 0)
     return sum(1 for r in all_ranks(tree) if r >= level)
-
-
-# Collation keys of the canonical text: at every position a closed group
-# beats a leaf beats an opening group, so leaves come first and smaller
-# subtrees precede larger ones with a common prefix.
-_CLOSE_KEY, _LEAF_KEY, _OPEN_KEY = "0", "1", "2"
-_KEY_TEXT = str.maketrans("012", ")L(")
 
 
 def _canonical(tree, order):

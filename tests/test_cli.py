@@ -466,6 +466,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "treesec: size guard: --max-leaves over guard (22)\n"
 
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+    def test_enumerate_over_guard_is_two(self, capsys, count_only):
+        code, out, err = run(capsys, "enumerate", "--leaves", "23", *count_only)
+        assert (code, out) == (2, "")
+        assert err == "treesec: size guard: --leaves over guard (22)\n"
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+    def test_enumerate_without_leaves_is_one(self, capsys, count_only):
+        code, out, err = run(capsys, "enumerate", "--leaves", "0", *count_only)
+        assert (code, out) == (1, "")
+        assert err == "treesec: error: --leaves must be at least 1\n"
+
     def test_table_without_leaves_is_one(self, capsys):
         code, out, err = run(capsys, "table", "--max-leaves", "0")
         assert (code, out) == (1, "")
@@ -688,6 +700,42 @@ class TestPinnedOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# exit code, stdout and stderr of the parser's help, usage and error paths
+# for every command, recorded with COLUMNS=80 on the Python version named
+_ARGPARSE = json.loads((Path(__file__).parent / "argparse_pins.json").read_text("utf-8"))
+
+
+class TestArgparsePinned:
+    """A command's subparser is built alone when the command is named first,
+    so every help, usage and error text is pinned byte for byte."""
+
+    cases = pytest.mark.parametrize(
+        "case", _ARGPARSE["cases"], ids=lambda case: " ".join(case["argv"]) or "-"
+    )
+
+    @cases
+    def test_output_is_pinned(self, capsys, monkeypatch, case):
+        if "%d.%d" % sys.version_info[:2] != _ARGPARSE["python"]:
+            pytest.skip(f"pinned on Python {_ARGPARSE['python']}, whose argparse wording differs")
+        monkeypatch.setenv("COLUMNS", str(_ARGPARSE["columns"]))
+        got = run(capsys, *case["argv"])
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+    @cases
+    def test_one_subparser_prints_as_all_eleven(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", str(_ARGPARSE["columns"]))
+        got = run(capsys, *case["argv"])
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+        assert got == run(capsys, *case["argv"])
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["table"]])
+    def test_subparsers_built(self, argv):
+        [sub] = cli._build_parser(argv)._subparsers._group_actions
+        want = argv[:1] if argv[:1] == ["table"] else list(cli._COMMANDS)
+        assert list(sub.choices) == want
+
+
 # Runs one CLI command, its argv given whole, as a child process that
 # inherits stdin, and prints its exit code and peak RSS in KiB, read with
 # ``os.wait4`` as perfbench does.  A forked child's peak counts the memory of
@@ -800,13 +848,22 @@ def test_package_import_skips_the_modules_it_does_not_need():
     assert not loaded & {"dataclasses", "inspect", "json", "fractions"}
 
 
-def test_verify_makes_no_fraction():
-    # verify reads the class bests, so it builds no census row; fractions
-    # loads only with a Fraction
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --max-leaves 8",
+        "verify --max-leaves 8 --kary 7 2 --starlike 6 2",
+        "enumerate --leaves 8 --count-only",
+        "enumerate --leaves 8",
+    ],
+    ids=["table", "verify", "enumerate-count", "enumerate-list"],
+)
+def test_census_commands_make_no_fraction(argv):
+    # table renders the census counts and verify reads the class bests, so
+    # neither builds a census row; fractions loads only with a Fraction
     out = _run_without_site(
         "import sys; from treesec.cli import main; "
-        "code = main('verify --max-leaves 8 --kary 7 2 --starlike 6 2'.split()); "
-        "print(code, 'fractions' in sys.modules)"
+        f"code = main({argv.split()!r}); print(code, 'fractions' in sys.modules)"
     )
     assert out.splitlines()[-1] == "0 False"
 
@@ -963,11 +1020,16 @@ def test_package_names_load_on_first_use():
         ("table --max-leaves 5", set()),
         ("enumerate --leaves 5", set()),
         ("enumerate --leaves 5 --count-only", set()),
-        ("verify --max-leaves 5", {"builders", "formulas"}),
-        ("verify --kary 7 3 --starlike 6 3", {"builders", "formulas"}),
-        ("build --family tl --leaves 5", {"builders"}),
-        ("normalize --tree ((LL)(L(LL)))", {"builders", "rewrites"}),
-        ("flip --tree (L((LL)((LL)(LL)))) --index 2 --variant 2", {"builders", "rewrites"}),
+        ("verify --max-leaves 5", {"formulas"}),
+        ("verify --kary 7 3 --starlike 6 3", {"formulas"}),
+        ("build --family tl --leaves 5", {"builders", "formulas", "trees"}),
+        ("normalize --tree ((LL)(L(LL)))", {"builders", "formulas", "rewrites", "trees"}),
+        (
+            "flip --tree (L((LL)((LL)(LL)))) --index 2 --variant 2",
+            {"builders", "formulas", "rewrites", "trees"},
+        ),
+        ("security --tree ((LL)(L(LL)))", {"trees"}),
+        ("export --tree ((LL)(L(LL))) --format dot", {"trees"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, want):
@@ -976,7 +1038,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, want):
         f"code = main({argv.split()!r}); print(code, *sys.modules)"
     )
     code, *loaded = out.splitlines()[-1].split()
-    optional = {f"treesec.{m}" for m in ("builders", "formulas", "rewrites")}
+    optional = {f"treesec.{m}" for m in ("builders", "formulas", "rewrites", "trees")}
     assert code == "0"
     assert optional & set(loaded) == {f"treesec.{m}" for m in want}
 
