@@ -17,28 +17,20 @@ from .errors import GuardError, ParseError, SizeError, _count
 __all__ = ["main"]
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; flag/usage problems are exit 1
-    # here, reserving 2 for size-guard refusals.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _read_tree_arg(args):
     from . import trees
 
     if args.tree is not None:
-        text = args.tree
-    elif args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+        return trees.read_tree(args.tree)
+    try:  # stdin, like a file, is strict UTF-8 whatever the locale
+        if args.file == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            reason = getattr(e, "strerror", e)  # an OSError's text repeats the path
-            raise GuardError(f"cannot read {args.file}: {reason}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", e)  # an OSError's text repeats the path
+        raise GuardError(f"cannot read {args.file}: {reason}") from None
     return trees.read_tree(text)
 
 
@@ -211,12 +203,11 @@ def _build_parser(argv):
     """The parser of ``argv``.  When ``argv`` starts with a command name it
     holds that command's subparser alone, and the metavar that lists every
     command keeps the main usage as it reads with all of them."""
-    parser = _Parser(prog="treesec", description=__doc__)
+    parser = argparse.ArgumentParser(prog="treesec", description=__doc__)
     named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        parser_class=_Parser,
         metavar=None if named is _COMMANDS else "{%s}" % ",".join(_COMMANDS),
     )
     for name in named:
@@ -318,6 +309,8 @@ _COMMANDS = {
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")  # the OK: lines print ℓ
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
@@ -328,8 +321,8 @@ def main(argv=None):
     except (ParseError, GuardError) as e:
         print(f"treesec: error: {e}", file=sys.stderr)
         return 1
-    except SystemExit as e:
-        return e.code or 0
+    except SystemExit as e:  # argparse's usage errors are 1; 2 is a size refusal
+        return 1 if e.code == 2 else e.code or 0
     except BrokenPipeError:
         return 0
     return 0

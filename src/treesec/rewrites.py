@@ -488,7 +488,7 @@ class _Arena:
         walk the child pairs sorted into id order in place, spending them."""
         for k in filter(None, self.kids):
             k.sort()
-        return RootedTree._make(self._parents, self.root, _top_down(self.kids, self.root))
+        return RootedTree._make(self._parents, _top_down(self.kids, self.root))
 
 
 def _step(arena, rule, removed, added):

@@ -53,13 +53,14 @@ class RootedTree:
 
     ``parents[v]`` is the parent id of vertex ``v`` (-1 for the root).
     Children are derived on demand, in increasing id order.  ``_order``,
-    kept from construction, lists every parent before its children: it is
-    ``range(n)`` when each parent id is smaller than its child's.  All
-    operations in this package treat trees as values: none mutates an
-    existing tree, so any tree may be shared freely across threads.
+    kept from construction, lists every parent before its children, the
+    root first: it is ``range(n)`` when each parent id is smaller than its
+    child's.  All operations in this package treat trees as values: none
+    mutates an existing tree, so any tree may be shared freely across
+    threads.
     """
 
-    __slots__ = ("_parents", "_children", "_root", "_order")
+    __slots__ = ("_parents", "_children", "_order")
 
     def __init__(self, parents):
         """Build a tree from a parent array, validating its shape.
@@ -83,24 +84,22 @@ class RootedTree:
             raise GuardError(f"expected exactly one root, found {roots}")
         self._parents = parents
         self._children = None
-        self._root = parents.index(-1)
         if all(parents[i] < i for i in range(n)):
             self._order = range(n)
         else:  # the reachability check's breadth-first order is kept
-            self._order = _top_down(_kid_lists(parents, range(n))[0], self._root)
+            self._order = _top_down(_kid_lists(parents, range(n))[0], parents.index(-1))
             if len(self._order) != n:
                 raise GuardError("parent links contain a cycle or unreachable vertices")
 
     @classmethod
-    def _make(cls, parents, root=0, order=None):
+    def _make(cls, parents, order=None):
         """Trusted constructor: no validation.  The caller promises a valid
-        parent array with the given root and, as ``order``, a top-down
-        order listing siblings by increasing id; without one, every parent
-        id must be smaller than its child ids, so vertex 0 is the root."""
+        parent array and, as ``order``, a top-down order (the root first)
+        listing siblings by increasing id; without one, every parent id must
+        be smaller than its child ids, so vertex 0 is the root."""
         self = object.__new__(cls)
         self._parents = parents
         self._children = None
-        self._root = root
         self._order = range(len(parents)) if order is None else order
         return self
 
@@ -115,7 +114,7 @@ class RootedTree:
 
     @property
     def root(self):
-        return self._root
+        return self._order[0]
 
     def parent(self, v):
         """Parent id of ``v``, or None for the root."""

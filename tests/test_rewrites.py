@@ -11,8 +11,13 @@ from treesec import (
     SwitchContext,
     all_ranks,
     binary_power_representation,
+    build_almost_complete,
+    build_almost_complete_stepwise,
     build_binary_caterpillar,
+    build_complete_binary,
+    build_complete_kary,
     build_power_spine,
+    build_starlike,
     canonical_form,
     canonical_order,
     classify,
@@ -33,6 +38,7 @@ from treesec import (
     switch_disjoint,
     switch_nested_high_sibling,
     switch_nested_low_sibling,
+    tree_from_json,
     tree_to_json,
 )
 from treesec import rewrites
@@ -683,6 +689,42 @@ def _same_as_validated(out):
     assert out.root == ref.root
     for read in (serialize, canonical_order, tree_to_json, RootedTree.depths):
         assert read(out) == read(ref), read.__name__
+
+
+def test_every_constructor_roots_the_tree_at_the_head_of_its_order():
+    """A tree's root is the first vertex of its kept order, whichever way
+    the tree was made: it is the vertex whose parent is -1."""
+    rng = random.Random(0x45)
+    made = [parse(text) for text in ("L", "(LL)", "((LL)(LLL)L)", "((L(LL))((LL)(LL)))")]
+    made += [tree_from_json(tree_to_json(t)) for t in made]
+    made += [canonical_form(t) for t in made]
+    made += [
+        build(*args)
+        for build, args in [
+            (build_complete_binary, (3,)),
+            (build_power_spine, (11,)),
+            (build_almost_complete, (11,)),
+            (build_almost_complete_stepwise, (11,)),
+            (build_binary_caterpillar, (9,)),
+            (build_starlike, ([2, 3, 1],)),
+            (build_complete_kary, (13, 3)),
+        ]
+    ]
+    made += [relabelled_copy(t, rng) for t in made]  # validated, not top-down
+    shapes = [t for leaves in range(2, 9) for t in enumerate_shapes(leaves)]
+    for t in shapes + [relabelled_copy(t, rng) for t in shapes]:
+        made.append(normalize_to_power_spine(t)[0])
+        made += [out for _, _, out in guarded_applications(t)]
+    unhoisted = parse("((L(LL))((LL)(LL)))")
+    made += [hoist_min_saturated(t) for t in (unhoisted, relabelled_copy(unhoisted, rng))]
+    made += [
+        reroot_at_vertex(t, v, mode)
+        for t in made[:32]
+        for v in range(len(t))
+        for mode in ("general", "degree_preserving")
+    ]
+    for t in made:
+        assert t.root == t._parents.index(-1), t._parents
 
 
 # (text, switched pair): a ternary root, a unary vertex below the root and
