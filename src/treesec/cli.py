@@ -6,6 +6,8 @@ byte-deterministic for fixed inputs.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 # table and enumerate load only exhaustive besides errors; trees, builders,
@@ -24,6 +26,8 @@ def _read_tree_arg(args):
         return trees.read_tree(args.tree)
     try:  # stdin, like a file, is strict UTF-8 whatever the locale
         if args.file == "-":
+            if sys.stdin is None:  # Python sets a closed stdin to None
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.file, "r", encoding="utf-8") as fh:
@@ -309,12 +313,13 @@ _COMMANDS = {
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(encoding="utf-8")  # the OK: lines print ℓ
+    out = sys.stdout or open(os.devnull, "w")  # Python sets a closed stdout to None
+    if hasattr(out, "reconfigure"):
+        out.reconfigure(encoding="utf-8")  # the OK: lines print ℓ
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        args.run(args, sys.stdout)
+        args.run(args, out)
     except SizeError as e:
         print(f"treesec: size guard: {e}", file=sys.stderr)
         return 2
@@ -325,6 +330,9 @@ def main(argv=None):
         return 1 if e.code == 2 else e.code or 0
     except BrokenPipeError:
         return 0
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 0
 
 

@@ -132,38 +132,31 @@ def _nesting(tree, ctx):
     return 0
 
 
-def _refusal(rule, arena, ctx, nesting):
-    """Why the guard of switching ``rule`` refuses an already checked
-    context on the arena, or None if it accepts; ``nesting`` is
-    :func:`_nesting`."""
-    ranks = arena.rank
-    r_w1 = ranks[ctx.w1]
-    if rule == "switch_disjoint":
-        if nesting:
-            return "parents must not be nested; use a nested switch"
-        if r_w1 < ranks[ctx.u1]:
-            return "rank(w1) >= rank(u1) required; swap the pair's roles"
-        return None
+def _verdicts(arena, ctx, nesting):
+    """Why each switching guard refuses an already checked context on the
+    arena, in :data:`_RULES` order, None where a guard accepts; ``nesting``
+    is :func:`_nesting`."""
+    rank = arena.rank
+    r_w1 = rank[ctx.w1]
+    if nesting:
+        disjoint = "parents must not be nested; use a nested switch"
+    elif r_w1 < rank[ctx.u1]:
+        disjoint = "rank(w1) >= rank(u1) required; swap the pair's roles"
+    else:
+        disjoint = None
     if nesting != 1:
-        return "u0 must be a strict ancestor of w0"
-    if rule == "switch_nested_high_sibling":
-        if r_w1 < ranks[ctx.u]:
-            return "rank(w1) >= rank(u) required; use the low-sibling switch"
-        return None
-    if r_w1 >= ranks[ctx.u]:
-        if rule == "spine_reinsert":
-            return "rank(w1) < rank(u) required"
-        return "rank(w1) <= rank(u) - 1 required; use the high-sibling switch"
+        return (disjoint, *("u0 must be a strict ancestor of w0",) * 3)
+    if r_w1 >= rank[ctx.u]:
+        low = "rank(w1) <= rank(u) - 1 required; use the high-sibling switch"
+        return disjoint, None, low, "rank(w1) < rank(u) required"
+    high = "rank(w1) >= rank(u) required; use the low-sibling switch"
     v1 = arena._parents[ctx.u0]
-    if rule == "switch_nested_low_sibling":
-        if v1 >= 0 and ranks[v1] > 2 + r_w1:
-            return "rank of u0's parent exceeds 2 + rank(w1); use spine_reinsert"
-        return None
     if v1 < 0:
-        return "u0 must not be the root; use a nested switch"
-    if ranks[v1] <= r_w1:
-        return "u0's parent must outrank w1; use a nested switch"
-    return None
+        return disjoint, high, None, "u0 must not be the root; use a nested switch"
+    over = rank[v1] - r_w1  # how far u0's parent outranks w1
+    low = "rank of u0's parent exceeds 2 + rank(w1); use spine_reinsert" if over > 2 else None
+    spine = "u0's parent must outrank w1; use a nested switch" if over <= 0 else None
+    return disjoint, high, low, spine
 
 
 def _rule_edges(rule, arena, ctx):
@@ -209,7 +202,7 @@ def _apply_rule(rule, tree, ctx):
         raise GuardError("both switched vertices must be saturated")
     if arena.rank[ctx.u] != arena.rank[ctx.w]:
         raise GuardError("switched vertices must have equal rank")
-    refusal = _refusal(rule, arena, ctx, _nesting(arena, ctx))
+    refusal = _verdicts(arena, ctx, _nesting(arena, ctx))[_RULES.index(rule)]
     if refusal is not None:
         raise GuardError(refusal)
     _step(arena, rule, *_rule_edges(rule, arena, ctx))
@@ -333,13 +326,11 @@ def _select_switch(arena, x, y, nesting):
     """The first (rule, context) whose guard accepts a saturated pair of the
     arena, given the :func:`_nesting` of (x, y), taken unchecked: oriented
     (x, y) before (y, x), the rules in :data:`_RULES` order."""
-    ctx = _pair_context(arena._parents, arena.kids, x, y)
-    for _ in range(2):
-        for rule in _RULES:
-            if _refusal(rule, arena, ctx, nesting) is None:
-                return rule, ctx
-        ctx = SwitchContext(ctx.w, ctx.u, ctx.w0, ctx.u0, ctx.w1, ctx.u1)
-        nesting = -nesting
+    for u, w, nesting in ((x, y, nesting), (y, x, -nesting)):
+        ctx = _pair_context(arena._parents, arena.kids, u, w)
+        verdicts = _verdicts(arena, ctx, nesting)
+        if None in verdicts:
+            return _RULES[verdicts.index(None)], ctx
     raise GuardError(f"no switching rule accepts vertices {x} and {y}")
 
 
@@ -378,10 +369,10 @@ class _Arena:
     and two bitmasks of the exponents of the saturated vertices in the
     subtree (``mask``: those present, ``dup``: those present at least
     twice), plus the running security.  :meth:`rewire` measures the union
-    of the root paths of the vertices whose children changed, each vertex
-    once and in walk order (a per-vertex stamp, the number of the last walk
-    through it, marks the visited vertices).  :meth:`first` finds a
-    saturated vertex by descending the exponent masks, comparing nothing.
+    of the root paths of the vertices whose children changed in one
+    bottom-up pass, each vertex once (a per-vertex stamp, the number of the
+    last walk through it, marks the visited vertices).  :meth:`first` finds
+    a saturated vertex by descending the exponent masks, comparing nothing.
     """
 
     def __init__(self, tree):
@@ -438,13 +429,14 @@ class _Arena:
         # Only the ancestors of a changed child list change.  Each walk
         # climbs from a changed parent to the root or to an earlier walk,
         # stamping its vertices with its own number (above those of earlier
-        # rewires), so measuring the walks last-first measures every vertex
-        # once, after its children.  The tree was acyclic, so a new cycle
-        # passes through a new edge, hence through one of these parents: the
-        # first walk to enter it comes back to its own stamp.
-        stamp, first, walks = self.stamp, self.walks + 1, []
-        for p, _ in (*removed, *added):
-            number, walk = first + len(walks), []
+        # rewires), so prepending each walk to one order lists every vertex
+        # once, after its children, for one measure pass.  The tree was
+        # acyclic, so a new cycle passes through a new edge, hence through
+        # one of these parents: the first walk to enter it comes back to its
+        # own stamp.
+        stamp, first, order = self.stamp, self.walks + 1, []
+        for number, (p, _) in enumerate((*removed, *added), first):
+            walk = []
             while p >= 0 and stamp[p] < first:
                 stamp[p] = number
                 walk.append(p)
@@ -452,10 +444,9 @@ class _Arena:
             if p >= 0 and stamp[p] == number:
                 raise GuardError("parent links contain a cycle or unreachable vertices")
             if walk:
-                walks.append(walk)
-        self.walks += len(walks)
-        for walk in reversed(walks):
-            self._measure(walk)
+                order[:0] = walk
+        self.walks += len(removed) + len(added)
+        self._measure(order)
 
     def first(self, v, want):
         """The first saturated vertex of exponent bit ``want`` in v's
@@ -517,7 +508,7 @@ def normalize_to_power_spine(tree):
     same :func:`_step` as the public rewrites.  Each step checks its
     surgery and repairs ranks, complete heights, exponent bitmasks and the
     children kept in canonical order in one pass over the union of the
-    changed root paths, O(depth) vertices each measured once in walk order
+    changed root paths, O(depth) vertices each measured once, bottom up
     (ordering two children compares their subtrees only down to the first
     difference, in O(1) when both are complete or one is a leaf), and each
     merge group finds its two vertices and their nesting in O(depth) by

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -1066,6 +1067,43 @@ def test_module_entry_point_runs_without_warnings():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env
     )
     assert result.stdout == "False\n"
+
+
+def _closed_stream_run(command):
+    # a fresh interpreter in sh, so that ``<&-`` and ``>&-`` close the stream
+    # before Python starts and Python sets it to None
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = f"{shlex.quote(sys.executable)} -m treesec.cli {command}"
+    return subprocess.run(
+        ["sh", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("closed", ["<&-", "<&- >&-"])
+def test_closed_stdin_is_a_read_error(closed):
+    result = _closed_stream_run(f"security --file - {closed}")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("treesec: error: cannot read -: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        ('security --tree "(LL)"', 0, ""),
+        ("verify --max-leaves 5 --kary 7 3", 0, ""),
+        ('normalize --tree "(L(L(LL)))" --trace', 0, ""),
+        ('security --tree "(L"', 1, "treesec: error: unbalanced '(' (at offset 2)\n"),
+        ('rank --tree "(LL)" --vertex 3', 1, "treesec: error: vertex id 3 out of range\n"),
+    ],
+)
+def test_closed_stdout_drops_the_output(command, code, err):
+    # the command runs as with stdout sent to /dev/null; refusals go to stderr
+    result = _closed_stream_run(command + " >&-")
+    assert (result.returncode, result.stderr) == (code, err)
 
 
 def test_verify_prints_the_readme_lines_whatever_the_stdout_encoding():

@@ -43,7 +43,7 @@ from treesec import (
 )
 from treesec import rewrites
 from treesec.cli import main
-from treesec.rewrites import _pair_context, _rewire, _rule_edges
+from treesec.rewrites import _pair_context, _rewire, _rule_edges, _splice
 from treesec.trees import _canonical, _kid_lists, _preorder
 from oracles import (
     random_general,
@@ -544,7 +544,7 @@ class TestNormalize:
 
     def test_a_step_the_rule_guard_refuses_is_not_taken(self, monkeypatch, capsys):
         # normalize takes a switch only after that rule's own guard accepts
-        monkeypatch.setattr(rewrites, "_refusal", lambda *args: "refused")
+        monkeypatch.setattr(rewrites, "_verdicts", lambda *args: ("refused",) * 4)
         with pytest.raises(GuardError, match="no switching rule accepts"):
             normalize_to_power_spine(parse("(L(L(LL)))"))
         assert main(["normalize", "--tree", "(L(L(LL)))"]) == 1
@@ -586,6 +586,43 @@ class TestNormalize:
                 assert security(out) >= security(t)
                 checked += 1
         assert checked > 0
+
+    def test_each_pick_is_the_first_rule_its_public_switch_accepts(self, monkeypatch):
+        # the normalizer and the public switches read one verdict table: the
+        # rule it picks accepts and gives the traced surgery, every rule
+        # before it refuses, and (y, x) is taken only when all refuse (x, y)
+        select, picks = rewrites._select_switch, []
+
+        def capturing_select(arena, x, y, nesting):
+            rule, ctx = select(arena, x, y, nesting)
+            picks.append((RootedTree(arena._parents), x, y, rule, ctx))
+            return rule, ctx
+
+        def refuses(op, tree, ctx):
+            with pytest.raises(GuardError):
+                op(tree, ctx)
+
+        monkeypatch.setattr(rewrites, "_select_switch", capturing_select)
+        ops = {op.__name__: op for op in SWITCH_OPS}
+        shapes = [t for leaves in range(2, 11) for t in enumerate_shapes(leaves)]
+        taken = Counter()
+        for tree in shapes + _seeded_random_trees(40, 100, seed=0x46):
+            picks.clear()
+            _, trace = normalize_to_power_spine(tree)
+            switches = [s for s in trace.steps if s.rule in ops]
+            assert len(switches) == len(picks)
+            for (before, x, y, rule, ctx), step in zip(picks, switches):
+                assert step.rule == rule
+                par = list(before._parents)
+                _splice(par, before.root, step.edges_removed, step.edges_added)
+                assert ops[rule](before, ctx)._parents == par
+                for earlier in rewrites._RULES[: rewrites._RULES.index(rule)]:
+                    refuses(ops[earlier], before, ctx)
+                if ctx.u == y:
+                    for op in SWITCH_OPS:
+                        refuses(op, before, SwitchContext.for_pair(before, x, y))
+                taken[rule, ctx.u == y] += 1
+        assert len(taken) == 8  # every rule, in both orientations
 
 
 # digests of the output of the full-rebuild normalizer, which the incremental
