@@ -313,13 +313,16 @@ _COMMANDS = {
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    out = sys.stdout or open(os.devnull, "w")  # Python sets a closed stdout to None
-    if hasattr(out, "reconfigure"):
-        out.reconfigure(encoding="utf-8")  # the OK: lines print ℓ
+    for name in ("stdout", "stderr"):  # Python sets a closed stream to None: drop its text
+        # the /dev/null fd stays open until the process ends, so no close is left to miss
+        stream = getattr(sys, name) or open(os.open(os.devnull, os.O_WRONLY), "w", closefd=False)
+        setattr(sys, name, stream)
+        if hasattr(stream, "reconfigure"):  # UTF-8 (OK: lines print ℓ), same error handler
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        args.run(args, out)
+        args.run(args, sys.stdout)
     except SizeError as e:
         print(f"treesec: size guard: {e}", file=sys.stderr)
         return 2
@@ -330,9 +333,6 @@ def main(argv=None):
         return 1 if e.code == 2 else e.code or 0
     except BrokenPipeError:
         return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

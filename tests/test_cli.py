@@ -1071,14 +1071,15 @@ def test_module_entry_point_runs_without_warnings():
 
 def _closed_stream_run(command):
     # a fresh interpreter in sh, so that ``<&-`` and ``>&-`` close the stream
-    # before Python starts and Python sets it to None
+    # before Python starts and Python sets it to None; dev mode shows any
+    # ResourceWarning for a stream left unclosed at exit
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = f"{shlex.quote(sys.executable)} -m treesec.cli {command}"
     return subprocess.run(
         ["sh", "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDEVMODE": "1"},
     )
 
 
@@ -1098,12 +1099,46 @@ def test_closed_stdin_is_a_read_error(closed):
         ('normalize --tree "(L(L(LL)))" --trace', 0, ""),
         ('security --tree "(L"', 1, "treesec: error: unbalanced '(' (at offset 2)\n"),
         ('rank --tree "(LL)" --vertex 3', 1, "treesec: error: vertex id 3 out of range\n"),
+        ("-h", 0, ""),
+        ("security -h", 0, ""),
     ],
 )
 def test_closed_stdout_drops_the_output(command, code, err):
-    # the command runs as with stdout sent to /dev/null; refusals go to stderr
+    # the command (or help) runs as with stdout sent to /dev/null; refusals go to stderr
     result = _closed_stream_run(command + " >&-")
     assert (result.returncode, result.stderr) == (code, err)
+
+
+@pytest.mark.parametrize(
+    "command, code, out",
+    [
+        ('security --tree "(L"', 1, ""),
+        ("enumerate --leaves 23", 2, ""),
+        ("security", 1, ""),
+        ('security --tree "(LL)"', 0, "1\n"),
+    ],
+)
+def test_closed_stderr_drops_only_the_messages(command, code, out):
+    # a refusal or usage line with nowhere to go is dropped, never sent to stdout
+    result = _closed_stream_run(command + " 2>&-")
+    assert (result.returncode, result.stdout) == (code, out)
+
+
+def test_main_keeps_open_streams(capsys):
+    # the same objects with the same error handlers, for callers that hold them
+    before = [(s, s.errors) for s in (sys.stdout, sys.stderr)]
+    assert main(["security", "--tree", "(LL)"]) == 0
+    assert [(s, s.errors) for s in (sys.stdout, sys.stderr)] == before
+
+
+def _ascii_stream_run(*args):
+    # a fresh interpreter whose standard streams default to ASCII
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "treesec.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"},
+    )
 
 
 def test_verify_prints_the_readme_lines_whatever_the_stdout_encoding():
@@ -1111,11 +1146,24 @@ def test_verify_prints_the_readme_lines_whatever_the_stdout_encoding():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     block = readme.split("$ treesec verify --max-leaves 12 --kary 12 3 --starlike 9 3\n")[1]
     want = block.split("```")[0].encode("utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "treesec.cli", "verify", "--max-leaves", "12"]
-        + ["--kary", "12", "3", "--starlike", "9", "3"],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"},
+    result = _ascii_stream_run(
+        "verify", "--max-leaves", "12", "--kary", "12", "3", "--starlike", "9", "3"
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, want, b"")
+
+
+def test_stderr_is_utf8_whatever_the_locale():
+    result = _ascii_stream_run("security", "--tree", "(Lé)")
+    err = "treesec: error: stray character 'é' (at offset 2)\n".encode("utf-8")
+    assert (result.returncode, result.stdout, result.stderr) == (1, b"", err)
+
+
+def test_a_surrogate_file_name_is_escaped_on_stderr(tmp_path):
+    # argv decodes byte 0xff as a surrogate; stderr keeps its backslash escape
+    path = os.fsencode(tmp_path) + b"/tree\xff.txt"
+    with open(path, "wb") as fh:
+        fh.write(b"(L\xffL)")
+    result = _ascii_stream_run("security", "--file", path)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.count(b"\n") == 1 and b"\\udcff" in result.stderr
+    assert b"Traceback" not in result.stderr
