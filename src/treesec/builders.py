@@ -5,7 +5,7 @@ pure functions and safe for concurrent use.  Size guards keep requests at a
 scale the arena representation can actually hold.
 """
 
-from itertools import chain
+from itertools import chain, tee
 
 from .errors import GuardError, _count
 from .formulas import LEAF_RANGE
@@ -57,9 +57,7 @@ def _heap(parents, parent_of_root, order, k=2):
 def build_complete_binary(height):
     """Complete binary tree: 2**height leaves, all at depth ``height``."""
     _count(height, "height", 0, MAX_COMPLETE_HEIGHT)
-    parents = []
-    _heap(parents, -1, (2 << height) - 1)
-    return RootedTree._make(parents)
+    return build_almost_complete(1 << height)
 
 
 def _spine_parents(blocks):
@@ -144,15 +142,10 @@ def build_binary_caterpillar(leaves):
     """Proper binary caterpillar: every internal vertex has a leaf child,
     except the deepest one which has two."""
     _count(leaves, "leaf count", 2, MAX_LEAVES)
-    parents = [-1]
-    cur = 0
-    for _ in range(leaves - 2):
-        parents.append(cur)
-        parents.append(cur)
-        cur = len(parents) - 1
-    parents.append(cur)
-    parents.append(cur)
-    return RootedTree._make(parents)
+    # spine vertex v = 0, 2, 4, ... has the leaf v + 1 and the next one
+    # v + 2; tee hands both children the one int object of v
+    spine = range(0, 2 * leaves - 2, 2)
+    return RootedTree._make([-1, *chain.from_iterable(zip(*tee(spine)))])
 
 
 def build_starlike(arms):

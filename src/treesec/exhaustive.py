@@ -280,9 +280,6 @@ def census_tsv(rows):
     return "\n".join(lines) + "\n"
 
 
-_KLEAF = (_LEAF_KEY, 0, 0, 0)
-
-
 def _kary_guard(n, k, proper=False):
     if proper and k is None:
         raise GuardError("proper enumeration needs an arity bound")
@@ -290,7 +287,7 @@ def _kary_guard(n, k, proper=False):
     if k is not None:
         _count(k, "arity", 1)
     limit = {1: 64, 2: 14, 3: 12}.get(k, 11)
-    if proper and k:  # less its leaves, a proper shape is an at-most-k one, 1:1
+    if proper:  # less its leaves, a proper shape is an at-most-k one, 1:1
         limit = min(limit * k + 1, 67)  # k = 6's limit: every order is walked
     if n > limit:
         raise SizeError(f"order over enumeration guard ({limit} for this arity)")
@@ -317,10 +314,11 @@ def _kid_multisets(total, cap, parts, levels, exact):
 
 
 def _kshapes(n, k, proper):
-    """The levels of orders 1..``n``, built for this call: ``levels[m]``
-    holds the shapes of order m with outdegrees at most ``k`` (with
-    ``proper``, exactly 0 or k), in generation order."""
-    levels = [None, [_KLEAF]]
+    """The levels of orders 1..``n``, built for this call after the order
+    guard: ``levels[m]`` holds the shapes of order m with outdegrees at
+    most ``k`` (with ``proper``, exactly 0 or k), in generation order."""
+    _kary_guard(n, k, proper)
+    levels = [None, [(_LEAF_KEY, 0, 0, 0)]]
     for order in range(2, n + 1):
         level = []
         for kids in _kid_multisets(order - 1, order - 1, k or order - 1, levels, proper):
@@ -345,11 +343,8 @@ def enumerate_kary_trees(n, k=None, proper=False):
     With ``proper=True`` (requires k), only trees whose outdegrees are all 0
     or exactly k are yielded; for some orders this class is empty.
     """
-    from .trees import parse
-
-    _kary_guard(n, k, proper)
-    for shape in sorted(_kshapes(n, k, proper)[n]):
-        yield parse(shape[0].translate(_KEY_TEXT))
+    shapes = sorted(_kshapes(n, k, proper)[n])
+    yield from _parsed(shape[0].translate(_KEY_TEXT) for shape in shapes)
 
 
 RootRankExtremes = namedtuple(
@@ -361,7 +356,6 @@ RootRankExtremes.__doc__ = "Brute-force root-rank maxima over one class of trees
 def _root_rank_rows(orders, k=None, root_degree=None, proper=False):
     """Yield each of the ascending ``orders`` with its brute-force root-rank
     extremes, all measured on one build of the tables of the last order."""
-    _kary_guard(orders[-1], k, proper)
     if root_degree is not None:
         _count(root_degree, "root degree", 1)
     levels = _kshapes(orders[-1], k, proper)

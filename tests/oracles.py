@@ -2,10 +2,12 @@
 
 Everything here recomputes expected values from first principles (explicit
 breadth-first distance search, counting recurrences, random processes) and
-never goes through the code paths under test.
+never goes through the code paths under test.  The one exception,
+:func:`equal_rank_saturated_pairs`, picks test cases rather than expected
+values.
 """
 
-from treesec import RootedTree
+from treesec import RootedTree, saturated_vertices
 
 
 def rank_by_distance(tree, v):
@@ -140,3 +142,15 @@ def relabelled_copy(tree, rng):
         if p is not None:
             parents[perm[v]] = perm[p]
     return RootedTree(parents)
+
+
+def equal_rank_saturated_pairs(tree):
+    """Ordered pairs of distinct saturated vertices of one exponent, the
+    first not the root: the pairs the switching rules are tried on."""
+    sat = saturated_vertices(tree)
+    return [
+        (u, w)
+        for u, mu in sat
+        for w, mw in sat
+        if u != w and mu == mw and tree.parent(u) is not None
+    ]

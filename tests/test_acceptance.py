@@ -29,7 +29,6 @@ from treesec import (
     parse,
     protected_count,
     reroot_at_vertex,
-    saturated_vertices,
     security,
     serialize,
     spine_reinsert,
@@ -38,7 +37,12 @@ from treesec import (
     switch_nested_low_sibling,
 )
 from treesec.cli import main
-from oracles import random_kary, random_proper_binary, wedderburn_etherington
+from oracles import (
+    equal_rank_saturated_pairs,
+    random_kary,
+    random_proper_binary,
+    wedderburn_etherington,
+)
 
 FIG_TREE = "((L(LL))(L((LL)(LL))))"
 PARTITION_PAIR = [
@@ -65,16 +69,6 @@ def criterion(number, label):
         raise
     elapsed = time.perf_counter() - start
     print(f"criterion {number:2d} PASS ({elapsed:8.3f}s): {label}", flush=True)
-
-
-def equal_rank_saturated_pairs(tree):
-    sat = saturated_vertices(tree)
-    return [
-        (u, w)
-        for u, mu in sat
-        for w, mw in sat
-        if u != w and mu == mw and tree.parent(u) is not None
-    ]
 
 
 def test_criterion_01_figure_regression():

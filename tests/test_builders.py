@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from treesec import builders
 from treesec import (
     GuardError,
     SizeError,
@@ -113,6 +114,11 @@ class TestCompleteBinary:
         for m in range(6):
             assert classify(build_complete_binary(m)).is_complete_binary
 
+    def test_is_the_almost_complete_tree_at_a_power_of_two(self):
+        for height in range(17):
+            want = build_almost_complete(1 << height)._parents
+            assert build_complete_binary(height)._parents == want, height
+
     def test_guards(self):
         with pytest.raises(SizeError):
             build_complete_binary(26)
@@ -213,6 +219,12 @@ class TestCaterpillar:
             v for v in internals if not any(t.is_leaf(c) for c in t.children(v))
         ]
         assert without_leaf_child == []
+
+    def test_is_the_spine_of_leaf_blocks(self):
+        # the spine builder, one leaf block per path vertex, is the reference
+        for leaves in range(2, 301):
+            want = builders._spine_parents((0,) * leaves)
+            assert build_binary_caterpillar(leaves)._parents == want, leaves
 
     def test_guard(self):
         with pytest.raises(GuardError):

@@ -451,6 +451,25 @@ class TestKaryEnumeration:
         with pytest.raises(SizeError):
             list(enumerate_kary_trees(12, None))
 
+    @pytest.mark.parametrize(
+        "n, k, proper",
+        [
+            (65, 1, False),
+            (15, 2, False),
+            (13, 3, False),
+            (12, None, False),
+            (31, 2, True),
+            (40, 3, True),
+        ],
+    )
+    def test_guard_runs_before_any_level(self, monkeypatch, n, k, proper):
+        def spy(*args):
+            raise AssertionError("a level was built over the guard")
+
+        monkeypatch.setattr(exhaustive, "_kid_multisets", spy)
+        with pytest.raises(SizeError, match="over enumeration guard"):
+            exhaustive._kshapes(n, k, proper)
+
 
 class TestBruteForceRootRank:
     def test_unbounded_path(self):

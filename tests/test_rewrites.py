@@ -46,6 +46,7 @@ from treesec.cli import main
 from treesec.rewrites import _pair_context, _rewire, _rule_edges, _splice
 from treesec.trees import _canonical, _kid_lists, _preorder
 from oracles import (
+    equal_rank_saturated_pairs,
     random_general,
     random_kary,
     random_proper_binary,
@@ -59,16 +60,6 @@ SWITCH_OPS = (
     switch_nested_low_sibling,
     spine_reinsert,
 )
-
-
-def equal_rank_saturated_pairs(tree):
-    sat = saturated_vertices(tree)
-    return [
-        (u, w)
-        for u, mu in sat
-        for w, mw in sat
-        if u != w and mu == mw and tree.parent(u) is not None
-    ]
 
 
 def guarded_applications(tree):
