@@ -40,7 +40,8 @@ def binary_power_representation(leaves):
 def _heap(parents, parent_of_root, order, k=2):
     """Append ``order`` vertices in level order, k children per vertex:
     vertex ``off + i`` hangs from ``off + (i - 1) // k``, where ``off`` is
-    the new root's id, so parents precede children.
+    the new root's id, so parents precede children; ``tee`` hands a
+    vertex's k children the one int object of its id.
 
     No vertex can have more than ``order - 1`` children, so a larger k
     changes nothing and is clamped, which keeps the work linear in ``order``.
@@ -50,7 +51,7 @@ def _heap(parents, parent_of_root, order, k=2):
     k = min(k, max(order - 1, 1))
     full, rest = divmod(order - 1, k)
     run = range(off, off + full)
-    parents.extend(chain.from_iterable(zip(*[run] * k)))
+    parents.extend(run if k == 1 else chain.from_iterable(zip(*tee(run, k))))
     parents.extend([off + full] * rest)
 
 
@@ -134,7 +135,7 @@ def build_almost_complete_stepwise(leaves):
         # rho's leaves are 2**cur consecutive ids; expand the highest first
         first = ((rho + 1) << cur) - 1
         run = range(first + (1 << cur) - 1, first - 1, -1)
-        parents.extend(chain.from_iterable(zip(run, run)))
+        parents.extend(chain.from_iterable(zip(*tee(run))))
     return RootedTree._make(parents)
 
 

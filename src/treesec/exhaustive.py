@@ -5,10 +5,10 @@ This module is the independent check on every closed form in
 scale and measures them directly.  Shapes are generated by unordered
 pairing (proper binary) or by multiset composition of child subtrees
 (bounded-outdegree), each unordered choice of children once, so nothing
-reads the order of a level; canonical order is applied where shapes are
-output, by one sort of the output level.  A shape's key is its canonical
-text, so trees come from :func:`treesec.trees.parse` alone and the
-canonical ids are parse's preorder ids.
+reads the order of a level.  A shape's key is its canonical text in the
+package's collation keys (``)`` = 0, ``L`` = 1, ``(`` = 2); texts are
+prefix-free, so key order is canonical order, and trees come from
+:func:`treesec.trees.parse` alone, so canonical ids are its preorder ids.
 
 A proper binary level is stored by root rank: :func:`_bshapes` makes
 ``secs[n][r]``, a ``bytearray`` with one security byte per n-leaf shape of
@@ -25,19 +25,15 @@ runs the same walk over keys, and only the functions that output shapes
 run it.  Every subtree of a maximizer is best in its class, so
 :func:`maximizer_shapes` makes keys only for the best shapes of each
 class; :func:`_bshapes` reads each class best off its bytes after the walk,
-so every best is a measured security.  A key is the canonical text in the
-collation keys of the package (``)`` = 0, ``L`` = 1, ``(`` = 2) read as
-hexadecimal digits and left-aligned in ``3 * MAX_ENUM_LEAVES - 2`` digits,
-the longest text the guard admits; its top digit is never 0, so a text is
-its key's hex form, shifted.  Canonical texts are prefix-free, so integer
-order is canonical order, and an a-leaf text has 3a - 2 characters, so
-``(AB)`` is ``OPEN + (key(A) >> 4) + (key(B) >> 4 * (3a - 1))`` with
-``OPEN`` the digit 2 in the top place.
+so every best is a measured security.  The listed level is never stored:
+``(AB)`` with A <= B orders by A, then by B, so :func:`_shape_blocks`
+merges the sorted lower levels and pairs each A, in order, with the keys
+of the other half at or above it.
 
 A bounded-outdegree shape is ``(canon, root_rank, max_rank, degree)``:
-``canon`` is the canonical text in that collation, as a string unique within
-a table, so tuple order is canonical order.  Proper k-ary shapes (outdegrees
-0 or exactly k) are generated, not filtered: from proper levels, k at a time.
+``canon`` is its key, unique within a table, so tuple order is canonical
+order.  Proper k-ary shapes (outdegrees 0 or exactly k) are generated, not
+filtered: from proper levels, k at a time.
 
 The census counts come from :func:`_shape_classes`, a recurrence that runs
 the same walk on counts: ``classes[n][r]`` is ``{security: count}`` over
@@ -75,12 +71,8 @@ __all__ = [
 
 MAX_ENUM_LEAVES = 22
 
-# A key has one hex digit per character of the longest text the guard
-# admits; its top digit is ``L`` for the leaf and ``(`` for every pair.
-_BLEAF = 1 << 4 * (3 * MAX_ENUM_LEAVES - 3)
-_BOPEN = 2 * _BLEAF
-# texts formatted and translated at a time, and lines per write of the
-# ``enumerate`` listing, so an unbuffered stdout is not one syscall per shape
+# texts translated at a time, and lines per write of the ``enumerate``
+# listing, so an unbuffered stdout is not one syscall per shape
 _TEXT_BLOCK = 4096
 
 
@@ -129,38 +121,34 @@ def _bshapes(leaves):
     return secs, best
 
 
-def _joined(kx, kys, a, n):
-    """The keys of the n-leaf pairs of the a-leaf key ``kx`` with each of
-    ``kys``, in their order."""
-    head, shift_x, shift_y = _BOPEN + (kx >> 4), 4 * (3 * a - 1), 4 * (3 * (n - a) - 1)
-    return [
-        head + (ky >> shift_x) if kx < ky else _BOPEN + (ky >> 4) + (kx >> shift_y)
+def _joined(kx, kys):
+    """The keys of the pairs of the key ``kx`` with each of ``kys``, in order."""
+    return (
+        f"{_OPEN_KEY}{kx}{ky}{_CLOSE_KEY}" if kx < ky else f"{_OPEN_KEY}{ky}{kx}{_CLOSE_KEY}"
         for ky in kys
-    ]
+    )
 
 
 def _bkeys(top, best=None):
     """The keys of levels 1..``top``: ``keys[n][r]`` holds the n-leaf shapes
     of root rank r.  Given ``best`` from :func:`_bshapes`, only those of
     the class best, paired from the class pairs whose bests sum to it."""
-    keys = [None, [[_BLEAF]]]
+    keys = [None, [[_LEAF_KEY]]]
     for n, a, rx, b, ry, rank in _class_pairs(top, keys):
         if best and best[a][rx] + best[b][ry] + rank != best[n][rank]:
             continue
         xs, ys, out = keys[a][rx], keys[b][ry], keys[n][rank]
         for i, kx in enumerate(xs):
-            out += _joined(kx, ys[i if xs is ys else 0 :], a, n)
+            out += _joined(kx, ys[i if xs is ys else 0 :])
     return keys
 
 
-def _text_blocks(keys, leaves):
-    """The canonical texts of the ``leaves``-leaf ``keys``, sorted, in
-    blocks of ``_TEXT_BLOCK`` texts joined by newlines.  A text is its key's
-    top 3 * ``leaves`` - 2 hex digits, and each block is translated at once."""
-    shift = 12 * (MAX_ENUM_LEAVES - leaves)
-    keys = iter(sorted(keys))
-    while block := ["%x" % (key >> shift) for key in islice(keys, _TEXT_BLOCK)]:
-        yield "\n".join(block).translate(_KEY_TEXT)
+def _text_blocks(keys):
+    """The canonical texts of ``keys``, in their order, in blocks of
+    ``_TEXT_BLOCK`` texts joined by newlines, each translated at once."""
+    keys = iter(keys)
+    while block := "\n".join(islice(keys, _TEXT_BLOCK)):
+        yield block.translate(_KEY_TEXT)
 
 
 def _parsed(blocks):
@@ -168,14 +156,30 @@ def _parsed(blocks):
     from .trees import parse
 
     for block in blocks:
-        for text in block.split("\n"):
-            yield parse(text)
+        yield from map(parse, block.split("\n"))
 
 
 def _shape_blocks(leaves):
     """Canonical texts of the ``leaves``-leaf shapes, in canonical order, in
-    blocks (see :func:`_text_blocks`)."""
-    return _text_blocks(chain.from_iterable(_bkeys(leaves)[leaves]), leaves)
+    blocks (see :func:`_text_blocks`), merged from the sorted lower levels."""
+    from bisect import bisect_left, bisect_right
+    from heapq import merge
+
+    _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
+    if leaves == 1:
+        return _text_blocks([_LEAF_KEY])
+    levels = _bkeys(leaves - 1)
+    for n in range(1, leaves):
+        levels[n] = sorted(chain.from_iterable(levels[n]))
+
+    def pairs(kx):  # an a-leaf text has 3a - 2 characters
+        kys = levels[leaves - (len(kx) + 2) // 3]
+        return _joined(kx, kys[bisect_left(kys, kx) :])
+
+    # a key above every key of the other half pairs with nothing
+    cuts = (bisect_right(levels[a], levels[leaves - a][-1]) for a in range(1, leaves))
+    firsts = map(islice, levels[1:], cuts)
+    return _text_blocks(chain.from_iterable(map(pairs, merge(*firsts))))
 
 
 def enumerate_shapes(leaves):
@@ -249,7 +253,7 @@ def maximizer_shapes(leaves):
     top = max(best[leaves])
     level = zip(_bkeys(leaves, best)[leaves], best[leaves])
     found = chain.from_iterable(keys for keys, sec in level if sec == top)
-    yield from _parsed(_text_blocks(found, leaves))
+    yield from _parsed(_text_blocks(sorted(found)))
 
 
 def _census_counts(max_leaves):
@@ -324,14 +328,8 @@ def _kshapes(n, k, proper):
         for kids in _kid_multisets(order - 1, order - 1, k or order - 1, levels, proper):
             canons, ranks, tops, _ = zip(*sorted(kids))
             root_rank = 1 + min(ranks)
-            level.append(
-                (
-                    _OPEN_KEY + "".join(canons) + _CLOSE_KEY,
-                    root_rank,
-                    max(root_rank, *tops),
-                    len(canons),
-                )
-            )
+            canon = _OPEN_KEY + "".join(canons) + _CLOSE_KEY
+            level.append((canon, root_rank, max(root_rank, *tops), len(canons)))
         levels.append(level)
     return levels
 
@@ -343,8 +341,7 @@ def enumerate_kary_trees(n, k=None, proper=False):
     With ``proper=True`` (requires k), only trees whose outdegrees are all 0
     or exactly k are yielded; for some orders this class is empty.
     """
-    shapes = sorted(_kshapes(n, k, proper)[n])
-    yield from _parsed(shape[0].translate(_KEY_TEXT) for shape in shapes)
+    yield from _parsed(_text_blocks(sorted(s[0] for s in _kshapes(n, k, proper)[n])))
 
 
 RootRankExtremes = namedtuple(

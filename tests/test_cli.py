@@ -699,6 +699,10 @@ class TestPinnedOutputs:
                 ["enumerate", "--leaves", "17"],
                 "2949dfbdc9bce5f305f953a832c23fc56e1d07c981f321eced89f672d0cc3868",
             ),
+            (
+                ["enumerate", "--leaves", "20"],
+                "ac62df59b6df71028ff2b70d1658a04a8bd857ee7e603d71cec642e504821f43",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -801,14 +805,17 @@ def test_census_counts_stay_small(argv):
     [
         (["verify", "--max-leaves", "20"], 45),
         (["verify", "--max-leaves", "22"], 40),
-        (["enumerate", "--leaves", "20"], 65),
+        (["enumerate", "--leaves", "20"], 46),
+        (["enumerate", "--leaves", "22"], 185),
     ],
-    ids=["verify-20", "verify-22", "enumerate-20"],
+    ids=["verify-20", "verify-22", "enumerate-20", "enumerate-22"],
 )
 def test_shape_tables_stay_small(argv, limit_mb):
     # verify stores one security byte per shape and makes no key (with the
     # keys of 1..21 leaves stored, 22 leaves took about 101 MB); enumerate
-    # keeps the keys of its levels and sorts only its output level
+    # keeps the text keys of the lower levels and merges its output level
+    # from them without storing it (with the level stored and sorted, 20
+    # and 22 leaves took 47-51 and 203-208 MB)
     code, peak_mb = _peak_rss_mb(argv)
     assert code == 0
     assert peak_mb < limit_mb
@@ -1021,12 +1028,13 @@ def test_package_names_load_on_first_use():
     ]
 
 
-# the modules that only some commands import, and which of them each loads
+# the modules that only some commands import, and which of them each loads;
+# heapq merges the listed level, so only the listing loads it
 @pytest.mark.parametrize(
     "argv,want",
     [
         ("table --max-leaves 5", set()),
-        ("enumerate --leaves 5", set()),
+        ("enumerate --leaves 5", {"heapq"}),
         ("enumerate --leaves 5 --count-only", set()),
         ("verify --max-leaves 5", {"formulas"}),
         ("verify --kary 7 3 --starlike 6 3", {"formulas"}),
@@ -1046,9 +1054,10 @@ def test_each_command_loads_only_the_modules_it_runs(argv, want):
         f"code = main({argv.split()!r}); print(code, *sys.modules)"
     )
     code, *loaded = out.splitlines()[-1].split()
-    optional = {f"treesec.{m}" for m in ("builders", "formulas", "rewrites", "trees")}
+    names = {m: f"treesec.{m}" for m in ("builders", "formulas", "rewrites", "trees")}
+    names["heapq"] = "heapq"
     assert code == "0"
-    assert optional & set(loaded) == {f"treesec.{m}" for m in want}
+    assert {m for m, name in names.items() if name in loaded} == want
 
 
 def test_module_entry_point_runs_without_warnings():
