@@ -50,7 +50,7 @@ _FAMILIES = {
 }
 
 
-def _cmd_build(args, out):
+def _cmd_build(args):
     from . import builders, trees
 
     name, flags = _FAMILIES[args.family]
@@ -64,64 +64,64 @@ def _cmd_build(args, out):
         except ValueError:
             raise GuardError("--arms must be comma-separated integers") from None
     build = getattr(builders, name)
-    out.write(trees.serialize(build(*values), canonical=True) + "\n")
+    sys.stdout.write(trees.serialize(build(*values), canonical=True) + "\n")
 
 
-def _cmd_rank(args, out):
+def _cmd_rank(args):
     from . import trees
 
     tree = trees.canonical_form(_read_tree_arg(args))
     ranks = trees.all_ranks(tree)
     if args.vertex is not None:
-        out.write(f"{ranks[trees._vertex(tree, args.vertex)]}\n")
+        sys.stdout.write(f"{ranks[trees._vertex(tree, args.vertex)]}\n")
     else:
         for v, r in enumerate(ranks):
-            out.write(f"{v}\t{r}\n")
+            sys.stdout.write(f"{v}\t{r}\n")
 
 
-def _cmd_security(args, out):
+def _cmd_security(args):
     from . import trees
 
-    out.write(f"{trees.security(_read_tree_arg(args))}\n")
+    sys.stdout.write(f"{trees.security(_read_tree_arg(args))}\n")
 
 
-def _cmd_protected(args, out):
+def _cmd_protected(args):
     from . import trees
 
-    out.write(f"{trees.protected_count(_read_tree_arg(args), args.level)}\n")
+    sys.stdout.write(f"{trees.protected_count(_read_tree_arg(args), args.level)}\n")
 
 
-def _cmd_partition(args, out):
+def _cmd_partition(args):
     from . import trees
 
     vec = trees.partition_vector(_read_tree_arg(args))
-    out.write(" ".join(str(m) for m in vec) + "\n")
+    sys.stdout.write(" ".join(str(m) for m in vec) + "\n")
 
 
-def _cmd_normalize(args, out):
+def _cmd_normalize(args):
     from . import rewrites, trees
 
     tree = trees.canonical_form(_read_tree_arg(args))
     result, trace = rewrites.normalize_to_power_spine(tree)
     if args.trace and trace.steps:
-        out.write(trace.to_text() + "\n")
-    out.write(trees.serialize(result, canonical=True) + "\n")
+        sys.stdout.write(trace.to_text() + "\n")
+    sys.stdout.write(trees.serialize(result, canonical=True) + "\n")
 
 
-def _cmd_flip(args, out):
+def _cmd_flip(args):
     from . import rewrites, trees
 
     flipped = rewrites.flip_adjacent(_read_tree_arg(args), args.index, args.variant)
-    out.write(trees.serialize(flipped, canonical=True) + "\n")
+    sys.stdout.write(trees.serialize(flipped, canonical=True) + "\n")
 
 
-def _cmd_enumerate(args, out):
+def _cmd_enumerate(args):
     leaves = _count(args.leaves, "--leaves", 1, exhaustive.MAX_ENUM_LEAVES)
     if args.count_only:
-        out.write(f"{exhaustive.count_shapes(leaves)}\n")
+        sys.stdout.write(f"{exhaustive.count_shapes(leaves)}\n")
     else:
         for block in exhaustive._shape_blocks(leaves):
-            out.write(block + "\n")
+            sys.stdout.write(block + "\n")
 
 
 def _security_rows(top):
@@ -149,7 +149,7 @@ def _starlike_rows(orders, k):
         yield n, max_root_rank_starlike(n, k).value, got.max_root_rank
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     # every argument is checked before any shape table is built; the rows
     # come from generator functions, so nothing runs until the loop below
     checks = []
@@ -179,20 +179,20 @@ def _cmd_verify(args, out):
                 raise GuardError(
                     f"{claim} fails at n={n}: formula {want}, oracle {got}"
                 )
-        out.write(f"OK: {claim}\n")
+        sys.stdout.write(f"OK: {claim}\n")
 
 
-def _cmd_table(args, out):
+def _cmd_table(args):
     top = _count(args.max_leaves, "--max-leaves", 1, exhaustive.MAX_ENUM_LEAVES)
-    out.write(exhaustive.census_tsv(exhaustive._census_counts(top)))
+    sys.stdout.write(exhaustive.census_tsv(exhaustive._census_counts(top)))
 
 
-def _cmd_export(args, out):
+def _cmd_export(args):
     from . import trees
 
     tree = _read_tree_arg(args)
     if args.format == "dot":
-        out.write(trees.export_dot(tree, annotate="ranks" if args.ranks else "none"))
+        sys.stdout.write(trees.export_dot(tree, annotate="ranks" if args.ranks else "none"))
     else:
         import json
 
@@ -200,7 +200,7 @@ def _cmd_export(args, out):
             text = json.dumps(trees.tree_to_json(trees.canonical_form(tree)))
         except RecursionError:
             raise SizeError("JSON nesting over the recursion limit") from None
-        out.write(text + "\n")
+        sys.stdout.write(text + "\n")
 
 
 def _build_parser(argv):
@@ -322,7 +322,8 @@ def main(argv=None):
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        args.run(args, sys.stdout)
+        args.run(args)
+        sys.stdout.flush()
     except SizeError as e:
         print(f"treesec: size guard: {e}", file=sys.stderr)
         return 2
@@ -333,6 +334,10 @@ def main(argv=None):
         return 1 if e.code == 2 else e.code or 0
     except BrokenPipeError:
         return 0
+    except OSError as e:  # reads raise GuardError, so a write failed: drop what is left
+        sys.stdout = open(os.open(os.devnull, os.O_WRONLY), "w", closefd=False)
+        print(f"treesec: error: cannot write output: {e.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -13,22 +13,21 @@ prefix-free, so key order is canonical order, and trees come from
 A proper binary level is stored by root rank: :func:`_bshapes` makes
 ``secs[n][r]``, a ``bytearray`` with one security byte per n-leaf shape of
 root rank r, so a shape's rank is its group's index.  One walk,
-:func:`_class_pairs`, grows every proper binary table it is given, in
-step: it runs the leaf guard, lays out each level by root rank and yields
-the unordered pairs of (leaf count, root rank) classes of that level, and
-each table gives only its one-leaf value and what a pair adds.  Every pair
-from two classes has root rank ``min(rx, ry) + 1``, so the securities of
-x's pairs with a class are one ``bytes.translate`` of that class's bytes
-that adds x's security and that rank (mod 256; at the guard no security
-plus rank exceeds 36 + 4), and measuring makes no key.  :func:`_bkeys`
-runs the same walk over keys, and only the functions that output shapes
-run it.  Every subtree of a maximizer is best in its class, so
-:func:`maximizer_shapes` makes keys only for the best shapes of each
-class; :func:`_bshapes` reads each class best off its bytes after the walk,
-so every best is a measured security.  The listed level is never stored:
-``(AB)`` with A <= B orders by A, then by B, so :func:`_shape_blocks`
-merges the sorted lower levels and pairs each A, in order, with the keys
-of the other half at or above it.
+:func:`_class_pairs`, grows each proper binary table: it runs the leaf
+guard, lays out each level by root rank and yields the unordered pairs of
+(leaf count, root rank) classes of that level that hold shapes (rank 0
+only at one leaf), and a table gives only its one-leaf value and what a
+pair adds.  Every pair from two classes has root rank ``min(rx, ry) + 1``,
+so the securities of x's pairs with a class are one ``bytes.translate`` of
+that class's bytes that adds x's security and that rank (mod 256; at the
+guard no security plus rank exceeds 36 + 4), and measuring makes no key.
+:func:`_bkeys` runs the same walk over keys, and only the functions that
+output shapes run it.  Every subtree of a maximizer is best in its class,
+so :func:`maximizer_shapes` makes keys only for the best shapes of each
+class; :func:`_bshapes` reads each class best off its bytes after the
+walk, so every best is a measured security.  The listed level is never
+stored: ``(AB)`` with A <= B orders by A, then by B, so :func:`_shape_blocks`
+sorts the first halves A once and pairs each with the other half's keys >= A.
 
 A bounded-outdegree shape is ``(canon, root_rank, max_rank, degree)``:
 ``canon`` is its key, unique within a table, so tuple order is canonical
@@ -76,23 +75,22 @@ MAX_ENUM_LEAVES = 22
 _TEXT_BLOCK = 4096
 
 
-def _class_pairs(leaves, *tables):
-    """Grow each of ``tables`` from its level 1 to ``leaves`` leaves.  Each
-    level n is appended to every table as ``n.bit_length()`` fresh values
-    of that table's level-1 type, one per root rank, before the walk yields
-    ``(n, a, rx, b, ry, rank)`` for each unordered pair of root-rank
-    classes that makes n-leaf shapes (a <= b = n - a, ry >= rx where the
-    halves are equal); every pair of shapes from the two classes has root
-    rank ``rank``."""
+def _class_pairs(leaves, table):
+    """Grow ``table`` from its level 1 to ``leaves`` leaves.  Each level n
+    is appended as ``n.bit_length()`` fresh values of the level-1 type, one
+    per root rank, before the walk yields ``(n, a, rx, b, ry, rank)`` for
+    each unordered pair of root-rank classes that makes n-leaf shapes (a <=
+    b = n - a, ry >= rx where the halves are equal; no class of rank 0 past
+    one leaf, which holds none); every pair of shapes from the two classes
+    has root rank ``rank``."""
     _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
-    kinds = [(table, type(table[1][0])) for table in tables]
+    fresh = type(table[1][0])
     for n in range(2, leaves + 1):
-        for table, fresh in kinds:
-            table.append([fresh() for _ in range(n.bit_length())])
+        table.append([fresh() for _ in range(n.bit_length())])
         for a in range(1, n // 2 + 1):
             b = n - a
-            for rx in range(a.bit_length()):
-                for ry in range(rx if a == b else 0, b.bit_length()):
+            for rx in range(a > 1, a.bit_length()):
+                for ry in range(rx if a == b else 1, b.bit_length()):
                     yield n, a, rx, b, ry, (rx if rx < ry else ry) + 1
 
 
@@ -110,8 +108,6 @@ def _bshapes(leaves):
     secs = [None, [bytearray(1)]]
     for n, a, rx, b, ry, rank in _class_pairs(leaves, secs):
         xs, ys, out = secs[a][rx], secs[b][ry], secs[n][rank]
-        if not (xs and ys):
-            continue
         for i, sx in enumerate(xs):
             out += ys[i if xs is ys else 0 :].translate(shifts[sx + rank])
     best = [None]
@@ -161,9 +157,8 @@ def _parsed(blocks):
 
 def _shape_blocks(leaves):
     """Canonical texts of the ``leaves``-leaf shapes, in canonical order, in
-    blocks (see :func:`_text_blocks`), merged from the sorted lower levels."""
+    blocks (see :func:`_text_blocks`), paired from the sorted lower levels."""
     from bisect import bisect_left, bisect_right
-    from heapq import merge
 
     _count(leaves, "leaf count", 1, MAX_ENUM_LEAVES)
     if leaves == 1:
@@ -178,8 +173,8 @@ def _shape_blocks(leaves):
 
     # a key above every key of the other half pairs with nothing
     cuts = (bisect_right(levels[a], levels[leaves - a][-1]) for a in range(1, leaves))
-    firsts = map(islice, levels[1:], cuts)
-    return _text_blocks(chain.from_iterable(map(pairs, merge(*firsts))))
+    firsts = sorted(chain.from_iterable(map(islice, levels[1:], cuts)))
+    return _text_blocks(chain.from_iterable(map(pairs, firsts)))
 
 
 def enumerate_shapes(leaves):

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -884,7 +885,7 @@ def test_census_commands_make_no_fraction(argv):
 
 
 class _Writes:
-    """An ``out`` that keeps each ``write``."""
+    """A stdout that keeps each ``write``."""
 
     def __init__(self):
         self.calls = []
@@ -895,9 +896,10 @@ class _Writes:
 
 class TestListingBlocks:
     @pytest.mark.parametrize("leaves", range(1, 18))
-    def test_listing_is_written_in_blocks(self, leaves):
+    def test_listing_is_written_in_blocks(self, monkeypatch, leaves):
         out = _Writes()
-        cli._cmd_enumerate(argparse.Namespace(leaves=leaves, count_only=False), out)
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._cmd_enumerate(argparse.Namespace(leaves=leaves, count_only=False))
         want = "".join(trees.serialize(t) + "\n" for t in exhaustive.enumerate_shapes(leaves))
         assert "".join(out.calls) == want
         blocks = -(-exhaustive.count_shapes(leaves) // exhaustive._TEXT_BLOCK)
@@ -1028,13 +1030,12 @@ def test_package_names_load_on_first_use():
     ]
 
 
-# the modules that only some commands import, and which of them each loads;
-# heapq merges the listed level, so only the listing loads it
+# the modules that only some commands import, and which of them each loads
 @pytest.mark.parametrize(
     "argv,want",
     [
         ("table --max-leaves 5", set()),
-        ("enumerate --leaves 5", {"heapq"}),
+        ("enumerate --leaves 5", set()),
         ("enumerate --leaves 5 --count-only", set()),
         ("verify --max-leaves 5", {"formulas"}),
         ("verify --kary 7 3 --starlike 6 3", {"formulas"}),
@@ -1054,10 +1055,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv, want):
         f"code = main({argv.split()!r}); print(code, *sys.modules)"
     )
     code, *loaded = out.splitlines()[-1].split()
-    names = {m: f"treesec.{m}" for m in ("builders", "formulas", "rewrites", "trees")}
-    names["heapq"] = "heapq"
+    names = ("builders", "formulas", "rewrites", "trees")
     assert code == "0"
-    assert {m for m, name in names.items() if name in loaded} == want
+    assert {m for m in names if f"treesec.{m}" in loaded} == want
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -1078,7 +1078,7 @@ def test_module_entry_point_runs_without_warnings():
     assert result.stdout == "False\n"
 
 
-def _closed_stream_run(command):
+def _closed_stream_run(command, **env):
     # a fresh interpreter in sh, so that ``<&-`` and ``>&-`` close the stream
     # before Python starts and Python sets it to None; dev mode shows any
     # ResourceWarning for a stream left unclosed at exit
@@ -1088,7 +1088,7 @@ def _closed_stream_run(command):
         ["sh", "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONDEVMODE": "1"},
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDEVMODE": "1", **env},
     )
 
 
@@ -1131,6 +1131,18 @@ def test_closed_stderr_drops_only_the_messages(command, code, out):
     # a refusal or usage line with nowhere to go is dropped, never sent to stdout
     result = _closed_stream_run(command + " 2>&-")
     assert (result.returncode, result.stdout) == (code, out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ['security --tree "(LL)"', "enumerate --leaves 14"])
+def test_a_full_stdout_is_one_error_line(command, unbuffered):
+    # the failed write ends the command, and Python's flush at exit has
+    # nothing left to write
+    result = _closed_stream_run(command + " > /dev/full", PYTHONUNBUFFERED=unbuffered)
+    assert (result.returncode, result.stdout) == (1, "")
+    reason = os.strerror(errno.ENOSPC)
+    assert result.stderr == f"treesec: error: cannot write output: {reason}\n"
 
 
 def test_main_keeps_open_streams(capsys):

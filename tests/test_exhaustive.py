@@ -173,6 +173,8 @@ class TestClassPairs:
             made.add((n, rank))
         assert len(table) == top + 1
         secs = exhaustive._bshapes(top)[0]
+        for n, a, rx, ry in seen:  # no pair with a class that holds no shape
+            assert secs[a][rx] and secs[n - a][ry], (n, a, rx, ry)
         for n in range(2, top + 1):
             for r, group in enumerate(secs[n]):
                 assert not group or (n, r) in made, (n, r)
@@ -181,10 +183,11 @@ class TestClassPairs:
         "leaves, error", [(0, GuardError), (exhaustive.MAX_ENUM_LEAVES + 1, SizeError)]
     )
     def test_guard_runs_before_any_level(self, leaves, error):
-        tables = [None, [0]], [None, [bytearray(1)]]
-        with pytest.raises(error):
-            next(exhaustive._class_pairs(leaves, *tables))
-        assert tables == ([None, [0]], [None, [bytearray(1)]])
+        for one_leaf in 0, bytearray(1):
+            table = [None, [one_leaf]]
+            with pytest.raises(error):
+                next(exhaustive._class_pairs(leaves, table))
+            assert table == [None, [one_leaf]]
 
     @pytest.mark.parametrize(
         "call, walks",
@@ -201,9 +204,9 @@ class TestClassPairs:
         calls = []
         walk = exhaustive._class_pairs
 
-        def spy(leaves, *tables):
+        def spy(leaves, table):
             calls.append(leaves)
-            return walk(leaves, *tables)
+            return walk(leaves, table)
 
         monkeypatch.setattr(exhaustive, "_class_pairs", spy)
         assert call()
